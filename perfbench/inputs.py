@@ -2,8 +2,10 @@
 
 Every input is built from a fixed recipe, so its expected membership verdict
 is known from how it was built and never from the library under test.  The
-seed only renumbers vertices and permutes the order in which inputs reach the
-library; the multiset of isomorphism classes a run sees is fixed.
+seed renumbers the vertices of the learn workloads' examples and permutes the
+order of the membership queries; the work a run does is the same for every
+seed.  Within one run every repeat of an input is the same graph, rebuilt as
+a fresh object.
 """
 
 from __future__ import annotations
@@ -75,24 +77,24 @@ def grid(target: str) -> list:
     raise ValueError(f"no membership grid for {target!r}")
 
 
-def membership_pass(target: str, seed: int, pass_index: int) -> list:
-    """One pass over the grid: (kind, size, graph, expected) in seeded order,
-    each graph freshly renumbered so no per-object cache carries over."""
-    rng = random.Random(f"{target}:{seed}:{pass_index}")
+def membership_inputs(target: str, seed: int) -> list:
+    """The grid in seeded order: (kind, size, vertex labels, edges, expected).
+    Each cell has one vertex numbering, drawn from the cell alone, because
+    the cost of a query depends on the numbering: a numbering per seed would
+    make the work differ from seed to seed.  A run repeats these same inputs,
+    so each repeat does the same work."""
     cells = grid(target)
-    rng.shuffle(cells)
+    random.Random(f"{target}:{seed}").shuffle(cells)
     out = []
     for kind, n in cells:
         vlabel, edges, expected = build(kind, n)
-        out.append((kind, n, renumber(vlabel, edges, rng), expected))
+        g = renumber(vlabel, edges, random.Random(f"{target}:{kind}:{n}"))
+        out.append((kind, n, g.vlabel, g.edges, expected))
     return out
 
 
-def presentation(language: list, seed, opening: int) -> list:
-    """One cycle of the target language: the member at index ``opening`` of
-    the (size, key)-sorted language first, the rest in seeded order, every
-    graph renumbered."""
+def presentation(language: list, seed) -> list:
+    """One cycle of the target language in a fixed order, every member
+    renumbered by the seed."""
     rng = random.Random(f"presentation:{seed}")
-    rest = [g for i, g in enumerate(language) if i != opening]
-    rng.shuffle(rest)
-    return [renumber(g.vlabel, g.edges, rng) for g in [language[opening], *rest]]
+    return [renumber(g.vlabel, g.edges, rng) for g in language]

@@ -23,6 +23,7 @@ ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(HERE)]
 
 import inputs  # noqa: E402
+import run  # noqa: E402
 import tracer  # noqa: E402
 from clausegraph.grammars import path_grammar, twin_grammar  # noqa: E402
 from tests.oracles import TopDownOracle  # noqa: E402
@@ -44,13 +45,28 @@ def test_expected_verdicts_match_top_down_oracle(target):
             assert oracle.member(graph) == expected, (target, kind, n)
 
 
-def test_grid_passes_are_seeded():
-    a = inputs.membership_pass("path", 3, 0)
-    b = inputs.membership_pass("path", 3, 0)
-    c = inputs.membership_pass("path", 4, 0)
-    assert [(k, n, g, e) for k, n, g, e in a] == [(k, n, g, e) for k, n, g, e in b]
-    assert [(k, n) for k, n, _, _ in a] != [(k, n) for k, n, _, _ in c]
-    assert sorted((k, n) for k, n, _, _ in a) == sorted(inputs.grid("path"))
+def test_membership_inputs_are_seeded():
+    a = inputs.membership_inputs("path", 3)
+    b = inputs.membership_inputs("path", 3)
+    c = inputs.membership_inputs("path", 4)
+    assert a == b
+    assert [(k, n) for k, n, *_ in a] != [(k, n) for k, n, *_ in c]
+    assert sorted(a) == sorted(c)  # the same graphs, in another order
+    assert sorted((k, n) for k, n, *_ in a) == sorted(inputs.grid("path"))
+
+
+def test_op_times_scale_each_process_by_its_own_probes():
+    ref = run.PROBE_REF_S
+    quiet = {"op_s": [[0.010, 0.012], [0.100]], "probe_s": [ref, ref, ref]}
+    busy = {"op_s": [[0.020], [0.200]], "probe_s": [2 * ref, 2 * ref]}
+    times, fewest = run.op_times([quiet, busy], scaled=True)
+    assert times == pytest.approx([0.010, 0.100])  # medians of 10, 12, 10 and 100, 100
+    assert fewest == 2
+    assert run.op_times([quiet, busy], scaled=False)[0] == pytest.approx([0.012, 0.150])
+    metrics = run.op_metrics([0.001, 0.002, 0.003, 0.010])
+    assert metrics["op_midmean_ms"][0] == pytest.approx(2.5)
+    assert metrics["op_tail_ms"][0] == pytest.approx(10.0)
+    assert metrics["ops_per_s"][0] == pytest.approx(4 / 0.016)
 
 
 def test_self_time_excludes_child_spans():

@@ -8,11 +8,15 @@ checks their outputs and prints one JSON object as its last line of output.
     python3 perfbench/worker.py '{"workload": "member-path", "seed": 1,
                                   "mode": "ops", "seconds": 10}'
 
-Modes: ``setup`` only sets up.  ``once`` runs one operation on learn
-workloads (a learning run) and one pass over the grid on membership
-workloads.  ``ops`` is ``once``, except that membership workloads repeat
-passes until ``seconds`` of query time have passed.  ``traced`` is ``once``
-with every layer wrapped by the tracer.
+Modes: ``setup`` only sets up.  ``once`` makes one learning run on learn
+workloads and one pass over the grid on membership workloads.  ``ops`` is
+``once``, except that membership workloads repeat the pass until ``seconds``
+of query time have passed.  ``traced`` is ``once`` with every layer wrapped
+by the tracer.
+
+An op is one learner stage (one ``Learner.observe`` call) or one membership
+query.  ``op_s[i]`` lists the times of every repeat of the i-th op in this
+process; the same seed gives the same ops in every process.
 """
 
 from __future__ import annotations
@@ -27,16 +31,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "clausegraph" / "data"
 
-# learn workloads present the target language for ``cycles`` full cycles,
-# opening with the member whose sorted vertex labels read ``opening``
+# learn workloads present the target language for ``cycles`` full cycles, in
+# a fixed ``order`` of members named by their sorted vertex labels
 WORKLOADS = {
     "learn-twin": {"kind": "learn", "target": "twin", "cap": 5, "cycles": 2,
-                   "opening": "ab"},
+                   "order": ("ab", "aa", "aab", "aaaa", "aaab", "aaaab")},
     "learn-path": {"kind": "learn", "target": "path", "cap": 7, "cycles": 2,
-                   "opening": "aa"},
+                   "order": ("aa", "aaa", "aaaa", "aaaaa", "aaaaaa", "aaaaaaa")},
     "member-path": {"kind": "member", "target": "path"},
     "member-twin": {"kind": "member", "target": "twin"},
 }
+
+
+PROBES_PER_STAGE = 4  # probes after each learner stage
+PROBES_PER_SETUP = 8  # probes after a set-up
+
+
+def probe_s() -> float:
+    """Seconds taken by a fixed piece of dict, set, tuple and sort work, like
+    the library's own: a gauge of how fast the host runs such code now.  It
+    runs between ops, never inside a timed region."""
+    t0 = time.perf_counter()
+    table = {}
+    for i in range(1500):
+        table[(i % 97, i % 89, i)] = frozenset((i, i + 1, i % 7))
+    adjacency: dict = {}
+    for (a, _, _), members in sorted(table.items(), key=lambda kv: kv[0][::-1]):
+        adjacency.setdefault(a, set()).update(members)
+    return time.perf_counter() - t0
 
 
 def _rss_mb() -> float:
@@ -65,36 +87,39 @@ def setup(workload: dict, recorder=None):
     return time.perf_counter() - t0, gamma, params, teacher
 
 
-def learn_op(workload: dict, seed: int, op_index: int, params, teacher,
-             check: bool) -> dict:
-    """One learning run over the presentation seeded by (seed, op_index).
-    The language check runs after the timed region."""
+def learn_op(workload: dict, seed: int, params, teacher, check: bool) -> dict:
+    """One learning run over the presentation seeded by ``seed``, each stage
+    timed on its own.  The language check runs after the timed region."""
     import inputs
     from clausegraph import learner as learner_mod
     from clausegraph.graphs import canonical_key, closed
     from clausegraph.teacher import generate_language
 
-    language = teacher.language
-    opening = [i for i, g in enumerate(language)
-               if "".join(sorted(g.vlabel.values())) == workload["opening"]]
-    if len(opening) != 1:
-        raise ValueError(f"no unique member {workload['opening']!r} to open with")
-    order = inputs.presentation(language, f"{seed}:{op_index}", opening[0])
+    by_labels = {"".join(sorted(g.vlabel.values())): g for g in teacher.language}
+    if (len(by_labels) != len(teacher.language)
+            or sorted(by_labels) != sorted(workload["order"])):
+        raise ValueError(f"order {workload['order']} is not the target language")
+    language = [by_labels[labels] for labels in workload["order"]]
+    order = inputs.presentation(language, seed)
     stages = workload["cycles"] * len(order)
     learner = learner_mod.Learner(teacher.answer, params)
-    t0 = time.perf_counter()
-    try:
-        for i in range(stages):
+    op_s, probes = [], []
+    for i in range(stages):
+        t0 = time.perf_counter()
+        try:
             learner.observe(order[i % len(order)])
-    except Exception as exc:  # an exception fails the op, not the run
-        return {"op_s": [time.perf_counter() - t0], "rss_mb": _rss_mb(),
-                "errors": [f"stage {len(learner.records) + 1}: "
-                           f"{type(exc).__name__}: {exc}"]}
-    op_s = time.perf_counter() - t0
+        except Exception as exc:  # an exception fails the run, not the benchmark
+            op_s.append(time.perf_counter() - t0)
+            return {"op_s": [[t] for t in op_s], "probe_s": probes,
+                    "rss_mb": _rss_mb(),
+                    "errors": [f"stage {i + 1}: {type(exc).__name__}: {exc}"]}
+        op_s.append(time.perf_counter() - t0)
+        probes += [probe_s() for _ in range(PROBES_PER_STAGE)]
     rss = _rss_mb()
     records = learner.records
     out = {
-        "op_s": [op_s],
+        "op_s": [[t] for t in op_s],
+        "probe_s": probes,
         "rss_mb": rss,
         "queries_total": teacher.queries_total,
         "queries_unique": teacher.queries_unique,
@@ -120,32 +145,40 @@ def learn_op(workload: dict, seed: int, op_index: int, params, teacher,
 def member_ops(workload: dict, seed: int, gamma, params,
                seconds: float, passes: int = 0) -> dict:
     """Closed loop with one caller over whole passes of the grid: each query
-    is sent after the previous one returned.  Stops after ``passes`` passes,
-    or once ``seconds`` of query time have passed."""
+    is sent after the previous one returned.  Every pass asks the same
+    queries, each graph rebuilt as a fresh object.  Stops after ``passes``
+    passes, or once ``seconds`` of query time have passed and every query
+    has run, which may be within a pass.  The verdicts of the first pass are
+    returned; every query is checked."""
     import inputs
     from clausegraph import membership
+    from clausegraph.graphs import LabeledGraph
 
-    latencies, verdicts, errors = [], [], []
-    pass_index = 0
-    while True:
-        for kind, n, g, expected in inputs.membership_pass(
-                workload["target"], seed, pass_index):
-            t0 = time.perf_counter()
-            try:
-                got = membership.member(gamma, gamma.start, g, params)
-            except Exception as exc:  # an exception fails the op, not the run
-                got = f"{type(exc).__name__}: {exc}"
-            latencies.append(time.perf_counter() - t0)
+    cells = inputs.membership_inputs(workload["target"], seed)
+    op_s = [[] for _ in cells]
+    verdicts, errors, probes = [], [], []
+    spent, asked = 0.0, 0
+    while asked < len(cells) or (spent < seconds if not passes
+                                 else asked < passes * len(cells)):
+        i = asked % len(cells)
+        kind, n, vlabel, edges, expected = cells[i]
+        probes.append(probe_s())
+        g = LabeledGraph(vlabel, edges)
+        t0 = time.perf_counter()
+        try:
+            got = membership.member(gamma, gamma.start, g, params)
+        except Exception as exc:  # an exception fails the op, not the run
+            got = f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - t0
+        spent += elapsed
+        asked += 1
+        op_s[i].append(elapsed)
+        if len(op_s[i]) == 1:
             verdicts.append(got)
-            if got is not expected:
-                errors.append(f"{kind} n={n}: expected {expected}, got {got}")
-        pass_index += 1
-        if passes and pass_index >= passes:
-            break
-        if not passes and sum(latencies) >= seconds:
-            break
-    return {"op_s": latencies, "rss_mb": _rss_mb(), "verdicts": verdicts,
-            "errors": errors}
+        if got is not expected:
+            errors.append(f"{kind} n={n}: expected {expected}, got {got}")
+    return {"op_s": op_s, "probe_s": probes, "rss_mb": _rss_mb(),
+            "verdicts": verdicts, "errors": errors}
 
 
 def main(spec: dict) -> dict:
@@ -157,19 +190,21 @@ def main(spec: dict) -> dict:
         recorder = tracer.Tracer()
     setup_s, gamma, params, teacher = setup(workload, recorder)
     if mode == "setup":
-        return {"setup_s": setup_s}
+        return {"setup_s": setup_s,
+                "probe_s": [probe_s() for _ in range(PROBES_PER_SETUP)]}
     root_before = recorder.root_s if recorder else 0.0
     if workload["kind"] == "learn":
-        out = learn_op(workload, spec["seed"], spec.get("op_index", 0), params,
-                       teacher, check=mode != "traced")
+        out = learn_op(workload, spec["seed"], params, teacher,
+                       check=mode != "traced")
     else:
         out = member_ops(workload, spec["seed"], gamma, params,
                          spec.get("seconds", 0), passes=0 if mode == "ops" else 1)
     out["setup_s"] = setup_s
-    # a learning run fails as a whole; a membership query fails on its own
-    out["failed"] = (1 if out["errors"] else 0) if workload["kind"] == "learn" else len(out["errors"])
+    # a wrong learning run fails all its stages; a query fails on its own
+    ops = sum(len(times) for times in out["op_s"])
+    out["failed"] = (ops if out["errors"] else 0) if workload["kind"] == "learn" else len(out["errors"])
     if recorder is not None:
-        out["root_coverage"] = (recorder.root_s - root_before) / sum(out["op_s"])
+        out["root_coverage"] = (recorder.root_s - root_before) / sum(map(sum, out["op_s"]))
         out["spans"] = recorder.stats
         out["counts"] = recorder.counts
         out["edges"] = [[parent, child, calls, total]
