@@ -5,15 +5,19 @@ one-to-one with the head pattern's hyperedge occurrences by variable label.
 ``ClauseSystem`` enforces that shape on construction; the standalone checks
 (`check_fixed_interface`, `check_bounded`, `check_degree_safe`) stay
 available for validating foreign input.
+
+A clause's identity up to variable renaming and body order is
+``clause_key``, over the head pattern's cached ``renaming_keys`` and, per
+body star, its renamed variable, port labels and predicate name; the learner
+keys its candidates with the same function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .graphs import GraphPattern, canonical_key, is_star_pattern
+from .graphs import GraphPattern, is_star_pattern, key_digest
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,12 @@ class Clause:
 
     @property
     def shape_key(self):
-        """Canonical key of the clause up to variable renaming and body order."""
+        """``clause_key`` of this clause; defined for fixed-interface clauses."""
         if self._shape_key is None:
-            self._shape_key = _clause_shape_key(self)
+            self._shape_key = clause_key(
+                self.head.predicate.name, self.head.pattern,
+                [(a.pattern.hyperedges[0].label, a.pattern.base.interface_labels(),
+                  a.predicate.name) for a in self.body])
         return self._shape_key
 
     def __repr__(self):
@@ -81,25 +88,15 @@ class Clause:
                 f"{', '.join(a.predicate.name for a in self.body)})")
 
 
-def _clause_shape_key(clause: Clause):
-    labels = sorted(clause.variables())
-    if not labels:
-        return (clause.head.predicate.name,
-                canonical_key(clause.head.pattern),
-                ())
-    best = None
-    for perm in permutations(range(len(labels))):
-        rename = {lab: f"v{perm[i]}" for i, lab in enumerate(labels)}
-        head_key = canonical_key(clause.head.pattern, rename_vars=rename)
-        body_key = tuple(sorted(
-            (rename[a.pattern.hyperedges[0].label],
-             a.predicate.name,
-             canonical_key(a.pattern, rename_vars=rename))
-            for a in clause.body))
-        cand = (clause.head.predicate.name, head_key, body_key)
-        if best is None or cand < best:
-            best = cand
-    return best
+def clause_key(head_name: str, head: GraphPattern, body) -> tuple:
+    """Clause identity up to variable renaming and body order.  ``body``
+    holds one (variable, star port labels, predicate name) triple per body
+    atom; every body variable must occur in ``head``, as in fixed-interface
+    clauses."""
+    return min(
+        (head_name, head_key,
+         tuple(sorted((rename[var], labels, name) for var, labels, name in body)))
+        for rename, head_key in head.renaming_keys)
 
 
 def check_fixed_interface(clause: Clause) -> bool:
@@ -150,9 +147,6 @@ class ClauseSystem:
                 seen[key] = cl
                 kept.append(cl)
         self.clauses = tuple(kept)
-
-    def clauses_for(self, pred_name: str) -> list:
-        return [cl for cl in self.clauses if cl.head.predicate.name == pred_name]
 
     def digest_key(self) -> tuple:
         """Deterministic identity of the whole system up to clause order."""
@@ -227,9 +221,7 @@ def check_degree_safe(gamma: ClauseSystem) -> bool:
     return all(clause_degree_safe(cl) for cl in gamma.clauses)
 
 
-def predicate_for_fragment(fragment, rank: Optional[int] = None) -> PredicateSymbol:
+def predicate_for_fragment(fragment) -> PredicateSymbol:
     """Stable predicate symbol for a fragment class: rank plus a digest of the
     fragment's canonical key, so names agree across runs."""
-    from .graphs import key_digest
-    r = fragment.rank if rank is None else rank
-    return PredicateSymbol(f"p{r}_{key_digest(fragment)}", r)
+    return PredicateSymbol(f"p{fragment.rank}_{key_digest(fragment)}", fragment.rank)

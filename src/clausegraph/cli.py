@@ -109,9 +109,22 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _load_grammar_within_w(path, params):
+    """Load a grammar whose variables all have rank at most ``w``.  ``sub_w``
+    offers no fragment of a higher rank, so such a grammar would answer a
+    silent NO for every graph."""
+    gamma = load_grammar(path)
+    for i, cl in enumerate(gamma.clauses):
+        for lab, rank in sorted(cl.variables().items()):
+            if rank > params.w:
+                raise ValueError(f"grammar {path}: clause {i}: variable {lab!r} "
+                                 f"has rank {rank} > w={params.w}")
+    return gamma
+
+
 def _cmd_member(args, want_tree: bool) -> int:
-    gamma = load_grammar(args.grammar)
     params = load_params(args.params)
+    gamma = _load_grammar_within_w(args.grammar, params)
     graphs = load_graphs(args.graph)
     for g in graphs:
         if not g.closed:
@@ -162,8 +175,8 @@ def _learn_config(args) -> dict:
 
 
 def _run_learn(config: dict) -> dict:
-    gamma = load_grammar(config["target"])
     params = load_params(config["params"])
+    gamma = _load_grammar_within_w(config["target"], params)
     teacher = Teacher(gamma, params, size_cap=config["size_cap"])
     learner = Learner(teacher.answer, params)
     presentation = teacher.presentation(seed=config.get("seed"))

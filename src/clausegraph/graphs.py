@@ -17,6 +17,7 @@ are filled at most once and never change.
 from __future__ import annotations
 
 import hashlib
+from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -173,7 +174,7 @@ class GraphPattern:
     graph with interface.
     """
 
-    __slots__ = ("base", "hyperedges", "_key")
+    __slots__ = ("base", "hyperedges", "_key", "_renaming_keys")
 
     def __init__(self, base: GraphWithInterface, hyperedges: Iterable[VariableHyperedge] = ()):
         hyperedges = tuple(sorted(hyperedges, key=lambda h: (h.label, h.ports)))
@@ -187,6 +188,7 @@ class GraphPattern:
         self.base = base
         self.hyperedges = hyperedges
         self._key = None
+        self._renaming_keys = None
 
     @property
     def ground(self) -> bool:
@@ -217,6 +219,20 @@ class GraphPattern:
         if self._key is None:
             self._key = canonical_key(self)
         return self._key
+
+    @property
+    def renaming_keys(self) -> tuple:
+        """``(renaming, canonical key)`` for every bijection of the variable
+        labels, in sorted order, onto ``v0, v1, ...``; a ground pattern has
+        the one empty renaming."""
+        if self._renaming_keys is None:
+            labels = list(self.variables())
+            out = []
+            for perm in permutations(range(len(labels))):
+                rename = {lab: f"v{perm[j]}" for j, lab in enumerate(labels)}
+                out.append((rename, canonical_key(self, rename_vars=rename)))
+            self._renaming_keys = tuple(out)
+        return self._renaming_keys
 
     def __eq__(self, other):
         if not isinstance(other, GraphPattern):
@@ -601,7 +617,7 @@ def _twin_reps(cell, adj):
 
 def key_digest(g: GraphLike, length: int = 10) -> str:
     """Short stable hex digest of the canonical key, for names and logs."""
-    return hashlib.blake2b(repr(canonical_key(g)).encode(), digest_size=8).hexdigest()[:length]
+    return hashlib.blake2b(repr(g.key).encode(), digest_size=8).hexdigest()[:length]
 
 
 # ---------------------------------------------------------------------------

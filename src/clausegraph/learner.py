@@ -25,7 +25,8 @@ from itertools import combinations_with_replacement, permutations, product
 from typing import Callable, Optional, Sequence
 
 from .boundary import enumerate_brep
-from .clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
+from .clauses import (Atom, Clause, ClauseSystem, ParamTuple, clause_key,
+                      predicate_for_fragment)
 from .graphs import (
     EMPTY_INTERFACE_GRAPH,
     GraphPattern,
@@ -51,11 +52,10 @@ class RepClass:
 
     def __init__(self, fragment: GraphWithInterface, count: int = 1):
         self.fragment = fragment
-        self.key = canonical_key(fragment)
+        self.key = fragment.key
         self.rank = fragment.rank
         self.count = count
-        self.predicate = PredicateSymbol(
-            f"p{self.rank}_{key_digest(fragment)}", self.rank)
+        self.predicate = predicate_for_fragment(fragment)
 
     def __repr__(self):
         return f"RepClass({self.predicate.name}, count={self.count})"
@@ -69,7 +69,7 @@ def collapse_reps(reps) -> list:
     order by (rank, key)."""
     by_key: dict = {}
     for rep in reps:
-        key = canonical_key(rep.fragment)
+        key = rep.fragment.key
         if key in by_key:
             by_key[key].count += 1
         else:
@@ -122,13 +122,17 @@ class ObservationTable:
 
 @dataclass(frozen=True)
 class HeadShape:
-    """A head pattern with canonically named variables, plus the renaming
-    data needed to key whole clauses cheaply."""
+    """A head pattern with canonically named variables and its hyperedge
+    occurrences.  Clause keys read the pattern's cached ``renaming_keys``, so
+    candidates and the clauses built from them share one head-key cache."""
 
     pattern: GraphPattern
     occurrences: tuple  # (variable, rank, port label tuple) per hyperedge
-    renamings: tuple    # dict per variable renaming
-    head_keys: tuple    # canonical pattern key per renaming
+
+    @property
+    def head_keys(self) -> tuple:
+        """Canonical pattern key per variable renaming."""
+        return tuple(key for _, key in self.pattern.renaming_keys)
 
     @property
     def body_len(self) -> int:
@@ -231,21 +235,10 @@ def head_shapes(iface_rank: int, params: ParamTuple,
 
 def _shapes_for(base: GraphWithInterface, ports_multi, seen):
     """Attach hyperedges on the given port tuples under every rank-consistent
-    label grouping; dedup against ``seen`` by renaming-minimal key."""
-    k = len(ports_multi)
-    if k == 0:
-        pattern = GraphPattern(base)
-        key = canonical_key(pattern)
-        if key not in seen:
-            seen.add(key)
-            yield HeadShape(pattern, (), ({},), (key,))
-        return
-    occ = list(range(k))
+    label grouping (``GraphPattern`` rejects the others); dedup against
+    ``seen`` by renaming-minimal key."""
+    occ = list(range(len(ports_multi)))
     for grouping in _set_partitions(occ):
-        ranks = [len(ports_multi[g[0]]) for g in grouping]
-        if any(len(ports_multi[i]) != ranks[gi]
-               for gi, g in enumerate(grouping) for i in g):
-            continue
         labels = {}
         for gi, g in enumerate(grouping):
             for i in g:
@@ -255,51 +248,27 @@ def _shapes_for(base: GraphWithInterface, ports_multi, seen):
             pattern = GraphPattern(base, hyper)
         except ValueError:
             continue
-        distinct = sorted({labels[i] for i in occ})
-        renamings = []
-        keys = []
-        for perm in permutations(range(len(distinct))):
-            rename = {lab: f"v{perm[j]}" for j, lab in enumerate(distinct)}
-            renamings.append(rename)
-            keys.append(canonical_key(pattern, rename_vars=rename))
-        best = min(keys)
+        shape = make_shape(pattern)
+        best = min(shape.head_keys)
         if best in seen:
             continue
         seen.add(best)
-        occurrences = tuple(
-            (h.label, h.rank, tuple(base.graph.vlabel[p] for p in h.ports))
-            for h in pattern.hyperedges)
-        yield HeadShape(pattern, occurrences, tuple(renamings), tuple(keys))
+        yield shape
 
 
 def make_shape(pattern: GraphPattern) -> HeadShape:
-    """Wrap an explicit head pattern as a shape (for hand-built candidates)."""
-    distinct = sorted(pattern.variables())
-    renamings = []
-    keys = []
-    for perm in permutations(range(len(distinct))):
-        rename = {lab: f"v{perm[j]}" for j, lab in enumerate(distinct)}
-        renamings.append(rename)
-        keys.append(canonical_key(pattern, rename_vars=rename))
-    if not renamings:
-        renamings = [{}]
-        keys = [canonical_key(pattern)]
+    """Wrap a head pattern as a shape."""
     occurrences = tuple(
         (h.label, h.rank, tuple(pattern.base.graph.vlabel[p] for p in h.ports))
         for h in pattern.hyperedges)
-    return HeadShape(pattern, occurrences, tuple(renamings), tuple(keys))
+    return HeadShape(pattern, occurrences)
 
 
 def candidate_key(cand: ClauseCandidate) -> tuple:
-    """Clause identity up to variable renaming and body order."""
-    best = None
-    for rename, head_key in zip(cand.shape.renamings, cand.shape.head_keys):
-        body_key = tuple(sorted(
-            (rename[var], cls.predicate.name) for var, _, cls in cand.body))
-        entry = (cand.head.predicate.name, head_key, body_key)
-        if best is None or entry < best:
-            best = entry
-    return best
+    """The ``clause_key`` of the clause the candidate builds."""
+    return clause_key(cand.head.predicate.name, cand.shape.pattern,
+                      [(var, labels, cls.predicate.name)
+                       for var, labels, cls in cand.body])
 
 
 @dataclass
@@ -429,7 +398,7 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
             return True  # vacuous admission: no all-positive family
         per_var_cols.append(sorted(cols))
 
-    shape_id = cand.shape.head_keys[0]
+    shape_id = cand.shape.pattern.key
     for family in product(*per_var_cols):
         counter["families"] = counter.get("families", 0) + 1
         rkey = (shape_id, family)

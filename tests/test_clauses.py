@@ -122,6 +122,18 @@ def test_clause_dedup_ignores_body_order_and_variable_names():
     assert len(gamma.clauses) == 1
 
 
+def test_clause_dedup_keeps_star_port_labels_apart():
+    p = PredicateSymbol("p", 0)
+    q = PredicateSymbol("q", 1)
+    head = Atom(p, GraphPattern(closed(graph_from_parts([(0, "a")])),
+                                [VariableHyperedge("x", (0,))]))
+    gamma = ClauseSystem([p, q],
+                         [Clause(head, [Atom(q, star_pattern("x", ("a",)))]),
+                          Clause(head, [Atom(q, star_pattern("x", ("b",)))])],
+                         start=p)
+    assert len(gamma.clauses) == 2
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

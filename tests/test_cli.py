@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from clausegraph.cli import dispatch
+from clausegraph.clauses import ParamTuple
 from clausegraph.formats import (
     dump_graphs,
     dump_params,
@@ -108,6 +109,25 @@ def test_invalid_grammar_is_domain_error(capsys, tmp_path, path_files):
     assert "clause" in err
 
 
+@pytest.mark.parametrize("command", ["member", "member --tree", "learn"])
+def test_variable_rank_above_w_is_domain_error(capsys, tmp_path, path_files, command):
+    # the path grammar's growing clauses bind rank-2 variables, which sub_w
+    # never offers at w=1: without the check every answer would be NO
+    narrow = tmp_path / "narrow.json"
+    dump_params(ParamTuple(m=3, s=1, t=1, w=1, d=2, delta=2, h_max=3), narrow)
+    if command == "learn":
+        argv = ["learn", "--target", path_files["grammar"], "--cap", "4",
+                "--stages", "1", "--out", str(tmp_path / "out")]
+    else:
+        argv = [*command.split(), "--grammar", path_files["grammar"],
+                "--graph", path_files["graph"]]
+    code = dispatch(argv + ["--params", str(narrow)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "clause 1: variable 'y' has rank 2 > w=1" in captured.err
+    assert captured.out == ""
+
+
 def test_brep_output(capsys, tmp_path):
     edge = closed(graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]))
     spath = tmp_path / "sample.json"
@@ -128,7 +148,6 @@ def test_check_reports_violations_and_safety(capsys, tmp_path, path_files):
     assert "bounded: yes" in out
     assert "degree-safe: no" in out
     tight = tmp_path / "tight.json"
-    from clausegraph.clauses import ParamTuple
     dump_params(ParamTuple(m=0, s=1, t=1, w=2, d=2, delta=2, h_max=3), tight)
     code = dispatch(["check", "--grammar", path_files["grammar"],
                      "--params", str(tight)])

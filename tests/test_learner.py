@@ -181,6 +181,16 @@ def test_target_shapes_appear_among_candidates():
         assert min(target_shape.head_keys) in shape_keys
 
 
+def test_candidate_key_is_the_clause_key():
+    gamma, params = path_grammar()
+    basis = with_empty_class(collapse_reps(
+        enumerate_brep([path(2), path(3), path(4)], params.w, params.delta)))
+    cands, _ = enumerate_candidates(basis, params, ("a",), ("e",))
+    assert len(cands) > 1000
+    for cand in cands:
+        assert candidate_key(cand) == cand.to_clause().shape_key
+
+
 # ---------------------------------------------------------------------------
 # admission
 # ---------------------------------------------------------------------------
