@@ -272,13 +272,12 @@ def is_star_pattern(p: GraphPattern) -> bool:
 class _Gluer:
     """Accumulates vertices and edges under identification; None on conflict."""
 
-    __slots__ = ("vlabel", "edges", "next_id", "dead")
+    __slots__ = ("vlabel", "edges", "next_id")
 
     def __init__(self):
         self.vlabel = {}
         self.edges = {}
         self.next_id = 0
-        self.dead = False
 
     def fresh(self, label: str) -> int:
         v = self.next_id
@@ -287,10 +286,7 @@ class _Gluer:
         return v
 
     def merge_label(self, v: int, label: str) -> bool:
-        if self.vlabel[v] != label:
-            self.dead = True
-            return False
-        return True
+        return self.vlabel[v] == label
 
     def add_edge(self, u: int, v: int, label: str) -> bool:
         key = (u, v) if u < v else (v, u)
@@ -298,10 +294,7 @@ class _Gluer:
         if old is None:
             self.edges[key] = label
             return True
-        if old != label:
-            self.dead = True
-            return False
-        return True
+        return old == label
 
     def add_copy(self, g: LabeledGraph, anchored: Mapping[int, int]) -> Optional[dict]:
         """Add a fresh copy of ``g``; vertices in ``anchored`` map onto existing

@@ -155,9 +155,21 @@ class ClauseCandidate:
 
     def to_clause(self) -> Clause:
         head_atom = Atom(self.head.predicate, self.shape.pattern)
-        body_atoms = [Atom(cls.predicate, star_pattern(var, labels))
+        body_atoms = [Atom(cls.predicate, _shared_star(var, labels))
                       for var, labels, cls in self.body]
         return Clause(head_atom, body_atoms)
+
+
+_STAR_CACHE: dict = {}
+
+
+def _shared_star(var: str, labels: tuple) -> GraphPattern:
+    """One star pattern per (variable, port labels); patterns are immutable,
+    so every clause that needs the star shares it and its cached keys."""
+    star = _STAR_CACHE.get((var, labels))
+    if star is None:
+        star = _STAR_CACHE[(var, labels)] = star_pattern(var, labels)
+    return star
 
 
 def _set_partitions(items):
@@ -570,7 +582,7 @@ class Learner:
         self._vlabels: set = set()
         self._elabels: set = set()
         self._cache_key = None
-        self._cache_value = None
+        self._cache_value = None  # (hypothesis, stats, digest)
         self._coverage_memo: dict = {}
 
     # -- helpers -----------------------------------------------------------
@@ -592,11 +604,10 @@ class Learner:
             self.basis, self.residual, self.oracle, self.params,
             vlabels, elabels, record=record)
         self._cache_key = key
-        self._cache_value = (gamma, stats)
-        return gamma, stats
+        self._cache_value = (gamma, stats, gamma_digest(gamma))
+        return self._cache_value
 
-    def _covers_sample(self, gamma: ClauseSystem) -> tuple:
-        digest = gamma_digest(gamma)
+    def _covers_sample(self, gamma: ClauseSystem, digest: str) -> tuple:
         calls = 0
         covered = True
         for g in self.sample:
@@ -624,7 +635,7 @@ class Learner:
 
         # the interim hypothesis reflects the end of the previous stage; on
         # unchanged state this is the cached previous construction
-        interim, interim_stats = self._construct()
+        interim, _, interim_digest = self._construct()
 
         key = canonical_key(closed(g))
         if key not in self._sample_keys:
@@ -633,7 +644,7 @@ class Learner:
             self._vlabels.update(g.vlabel.values())
             self._elabels.update(g.edges.values())
 
-        covered, member_calls = self._covers_sample(interim)
+        covered, member_calls = self._covers_sample(interim, interim_digest)
         update_fired = not covered
 
         reps = enumerate_brep(self.sample, self.params.w, self.params.delta)
@@ -643,7 +654,7 @@ class Learner:
         self.residual = classes
 
         record = ConstructionRecord([], [], None, [], []) if self.record_admissions else None
-        gamma, stats = self._construct(record=record)
+        gamma, stats, digest = self._construct(record=record)
 
         counters = {
             "oracle_queries": stats.oracle_calls,
@@ -667,7 +678,7 @@ class Learner:
             basis_size=len(self.basis),
             residual_size=len(self.residual),
             hypothesis=gamma,
-            hypothesis_digest=gamma_digest(gamma),
+            hypothesis_digest=digest,
             counters=counters,
             wall_time=time.perf_counter() - t0,
             construction=record,

@@ -1,11 +1,11 @@
 """Bottom-up membership decision for fixed-interface clause systems.
 
-The engine instantiates clauses over the universe of boundary-attached
-fragments of the input graph (rank at most w), saturates the derivable
-(predicate, fragment) pairs by semi-naive iteration, and finally matches the
-whole input graph directly against realizations of start-predicate heads.
-The whole-graph goal is matched directly because the empty boundary
-specification yields the empty fragment, never the graph itself.
+The engine instantiates clauses over a universe of fragments of the input
+graph: its boundary-attached fragments of rank at most w, plus the whole
+graph with empty interface.  It saturates the derivable (predicate,
+fragment) pairs by semi-naive iteration.  The input graph is a fragment like
+any other, so a graph is a member exactly when the start predicate holds on
+it, and there is no separate match against the goal.
 
 Provenance is kept for every derived pair, so a successful query can be
 replayed as a derivation tree.
@@ -33,14 +33,18 @@ class FragmentUniverse:
     """Fragments of one host graph, deduplicated up to isomorphism.
 
     Lookup buckets on a cheap isomorphism-invariant signature and resolves
-    within a bucket by exact isomorphism, which keeps the hot path free of
-    full canonicalization.
+    within a bucket by exact isomorphism.  Keying fragments by canonical key
+    alone measured no slower (``canonical_key`` costs 1.4-1.6x an
+    ``iso_check`` on 16-36-vertex path fragments, but a key-only universe
+    answered the benchmark's path grid in 1.05 s against 1.5-1.65 s, and its
+    twin grid in the same 2.7-2.9 s, on a 2-core host).  The buckets stay
+    because the benchmark reports this layer through ``iso_check`` and
+    ``invariant_signature``; see ROADMAP item 2.
     """
 
     def __init__(self):
         self.fragments: list[GraphWithInterface] = []
-        self.by_rank: dict[int, list[int]] = {}
-        self.by_rank_labels: dict[tuple, list[int]] = {}
+        self.by_labels: dict[tuple, list[int]] = {}  # interface labels -> indices
         self._buckets: dict[tuple, list[int]] = {}
 
     def add(self, g: GraphWithInterface) -> int:
@@ -49,8 +53,7 @@ class FragmentUniverse:
             return idx
         idx = len(self.fragments)
         self.fragments.append(g)
-        self.by_rank.setdefault(g.rank, []).append(idx)
-        self.by_rank_labels.setdefault((g.rank, g.interface_labels()), []).append(idx)
+        self.by_labels.setdefault(g.interface_labels(), []).append(idx)
         self._buckets.setdefault(invariant_signature(g), []).append(idx)
         return idx
 
@@ -86,6 +89,7 @@ class Provenance:
 @dataclass
 class DerivedAtomSet:
     universe: FragmentUniverse
+    goal: int  # universe index of the whole input graph
     derived: dict = field(default_factory=dict)  # (pred name, frag idx) -> Provenance
     rounds: int = 0
 
@@ -97,61 +101,41 @@ class DerivedAtomSet:
 
 
 class _CompiledClause:
-    """Per-clause data the fixpoint loop needs: distinct variables with their
-    ranks, the star port labels each variable must satisfy, and the body
-    atoms grouped per variable."""
+    """Per-clause data the fixpoint loop needs: distinct variables, the
+    interface labels a binding of each variable must carry, and the body
+    predicates grouped per variable."""
 
-    __slots__ = ("clause", "index", "head_pred", "pattern", "vars",
-                 "var_ranks", "star_labels", "body_preds", "constraints")
+    __slots__ = ("index", "head_pred", "pattern", "vars", "body_preds", "labels")
 
     def __init__(self, clause: Clause, index: int):
-        self.clause = clause
         self.index = index
         self.head_pred = clause.head.predicate.name
         self.pattern = clause.head.pattern
-        self.var_ranks = clause.variables()
-        self.vars = sorted(self.var_ranks)
-        star_labels = {}
+        self.vars = sorted(clause.variables())
+        star_labels = {v: set() for v in self.vars}
         body_preds = {v: [] for v in self.vars}
         for atom in clause.body:
             h = atom.pattern.hyperedges[0]
-            labels = tuple(atom.pattern.base.graph.vlabel[p] for p in h.ports)
-            star_labels.setdefault(h.label, set()).add(labels)
+            star_labels[h.label].add(
+                tuple(atom.pattern.base.graph.vlabel[p] for p in h.ports))
             body_preds[h.label].append(atom.predicate.name)
-        self.star_labels = star_labels
         self.body_preds = body_preds
-        # per variable: the (rank, interface labels) a binding must carry, or
-        # None when the clause's stars disagree and nothing can ever bind
-        self.constraints = {}
-        for var in self.vars:
-            wanted = star_labels.get(var)
-            if not wanted:
-                self.constraints[var] = (self.var_ranks[var], None)
-            elif len(wanted) == 1:
-                self.constraints[var] = (self.var_ranks[var], next(iter(wanted)))
-            else:
-                self.constraints[var] = None
+        # per variable: the port labels of its stars, or None when the
+        # clause's stars disagree and nothing can ever bind (a fixed-interface
+        # clause gives every variable at least one star)
+        self.labels = {v: next(iter(wanted)) if len(wanted) == 1 else None
+                       for v, wanted in star_labels.items()}
 
     def binding_applies(self, var: str, fragment: GraphWithInterface) -> bool:
         """A bound graph fits a variable when every star atom over the
         variable can absorb it: interface labels equal the star's ports."""
-        constraint = self.constraints[var]
-        if constraint is None:
-            return False
-        rank, labels = constraint
-        if fragment.rank != rank:
-            return False
-        return labels is None or fragment.interface_labels() == labels
+        labels = self.labels[var]
+        return labels is not None and fragment.interface_labels() == labels
 
     def admissible(self, var: str, universe: FragmentUniverse):
         """Universe indices a binding for ``var`` may range over."""
-        constraint = self.constraints[var]
-        if constraint is None:
-            return ()
-        rank, labels = constraint
-        if labels is None:
-            return universe.by_rank.get(rank, ())
-        return universe.by_rank_labels.get((rank, labels), ())
+        labels = self.labels[var]
+        return () if labels is None else universe.by_labels.get(labels, ())
 
 
 def _compiled(gamma: ClauseSystem) -> list:
@@ -163,14 +147,15 @@ def _compiled(gamma: ClauseSystem) -> list:
 
 
 def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtomSet:
-    """Least set of derivable (predicate, fragment) pairs over ``sub_w(g)``.
+    """Least set of derivable (predicate, fragment) pairs over ``sub_w(g)``
+    plus ``g`` itself with empty interface.
 
     Semi-naive: after the first round, a clause instantiation is retried
     only when at least one of its body pairs became derivable in the
     previous round.
     """
     universe = sub_w(g, w)
-    out = DerivedAtomSet(universe)
+    out = DerivedAtomSet(universe, universe.add(closed(g)))
     compiled = _compiled(gamma)
     facts = [c for c in compiled if not c.vars]
     rules = [c for c in compiled if c.vars]
@@ -201,9 +186,9 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
             feasible = True
             for var in c.vars:
                 # a variable bound by several body atoms needs every one derived
-                pools = [set(by_pred.get(pred, ())) for pred in c.body_preds[var]]
-                pool = set.intersection(*pools) if pools else set()
-                pool &= set(c.admissible(var, universe))
+                pool = set(c.admissible(var, universe))
+                for pred in c.body_preds[var]:
+                    pool.intersection_update(by_pred.get(pred, ()))
                 if not pool:
                     feasible = False
                     break
@@ -282,51 +267,10 @@ def member(gamma: ClauseSystem, p: PredicateSymbol, g: LabeledGraph,
     if g.max_degree() > params.delta:
         return (False, None) if want_tree else False
     derived = derive_fixpoint(gamma, g, params.w)
-    goal = closed(g)
-    universe = derived.universe
-    for c in _compiled(gamma):
-        clause, ci = c.clause, c.index
-        if clause.head.predicate.name != p.name:
-            continue
-        if not c.vars:
-            res = realize(c.pattern, {})
-            if res is not None and iso_check(res, goal):
-                if want_tree:
-                    return True, DerivationNode(p.name, ci, goal, {})
-                return True
-            continue
-        pools = []
-        feasible = True
-        for var in c.vars:
-            admissible = set(c.admissible(var, universe))
-            pool = [idx for idx in _holding_all(derived, c.body_preds[var])
-                    if idx in admissible]
-            if not pool:
-                feasible = False
-                break
-            pools.append(pool)
-        if not feasible:
-            continue
-        for combo in product(*pools):
-            theta = {var: universe[idx] for var, idx in zip(c.vars, combo)}
-            res = realize(c.pattern, theta)
-            if res is None or not iso_check(res, goal):
-                continue
-            if want_tree:
-                node = DerivationNode(p.name, ci, goal, {})
-                for var, idx in zip(c.vars, combo):
-                    node.children[var] = _expand_tree(
-                        gamma, derived, c.body_preds[var][0], idx)
-                return True, node
-            return True
-    return (False, None) if want_tree else False
-
-
-def _holding_all(derived: DerivedAtomSet, preds) -> list:
-    sets = [set(derived.by_predicate(p)) for p in preds]
-    if not sets:
-        return []
-    return sorted(set.intersection(*sets))
+    ok = derived.holds(p.name, derived.goal)
+    if not want_tree:
+        return ok
+    return ok, _expand_tree(gamma, derived, p.name, derived.goal) if ok else None
 
 
 def format_tree(node: DerivationNode, indent: int = 0) -> str:

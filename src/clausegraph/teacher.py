@@ -18,8 +18,6 @@ from .graphs import (
     GraphWithInterface,
     LabeledGraph,
     canonical_key,
-    invariant_signature,
-    iso_check,
     realize,
 )
 from .membership import _CompiledClause, member
@@ -33,22 +31,18 @@ def generate_language(gamma: ClauseSystem, params: ParamTuple,
     Saturates per-predicate pools of derived graphs with interface,
     discarding anything over the cap or the degree bound.  Realization never
     shrinks below any of its bindings, so every member within the cap is
-    reachable through intermediates within the cap, and deduplication keeps
-    the saturation finite.
+    reachable through intermediates within the cap, and deduplication by
+    canonical key keeps the saturation finite.
     """
     compiled = [_CompiledClause(cl, i) for i, cl in enumerate(gamma.clauses)]
-    pools: dict[str, list] = {p.name: [] for p in gamma.predicates}
-    buckets: dict[tuple, list] = {}
+    pools: dict[str, dict] = {p.name: {} for p in gamma.predicates}  # key -> graph
 
     def admit(pred: str, g: GraphWithInterface) -> bool:
         if g.graph.n > size_cap or g.graph.max_degree() > params.delta:
             return False
-        sig = (pred, invariant_signature(g))
-        bucket = buckets.setdefault(sig, [])
-        if any(iso_check(g, old) for old in bucket):
+        if g.key in pools[pred]:
             return False
-        bucket.append(g)
-        pools[pred].append(g)
+        pools[pred][g.key] = g
         return True
 
     for c in compiled:
@@ -64,32 +58,25 @@ def generate_language(gamma: ClauseSystem, params: ParamTuple,
             if not c.vars:
                 continue
             candidate_pools = []
-            feasible = True
             for var in c.vars:
-                rank = c.var_ranks[var]
-                # every body atom over the variable must already derive it;
-                # pools are per predicate, so intersect up to isomorphism
-                base = [g for g in pools.get(c.body_preds[var][0], ())
-                        if g.rank == rank and c.binding_applies(var, g)]
-                for pred in c.body_preds[var][1:]:
-                    others = pools.get(pred, ())
-                    base = [g for g in base
-                            if any(iso_check(g, o) for o in others)]
+                # every body atom over the variable must already derive it
+                first, *others = c.body_preds[var]
+                base = [g for key, g in pools[first].items()
+                        if c.binding_applies(var, g)
+                        and all(key in pools[pred] for pred in others)]
                 if not base:
-                    feasible = False
                     break
                 candidate_pools.append(base)
-            if not feasible:
-                continue
-            for combo in product(*candidate_pools):
-                theta = dict(zip(c.vars, combo))
-                res = realize(c.pattern, theta)
-                if res is not None and admit(c.head_pred, res):
-                    changed = True
+            else:
+                for combo in product(*candidate_pools):
+                    theta = dict(zip(c.vars, combo))
+                    res = realize(c.pattern, theta)
+                    if res is not None and admit(c.head_pred, res):
+                        changed = True
 
-    members = [g.graph for g in pools[gamma.start.name] if g.closed]
-    members.sort(key=lambda g: (g.n, canonical_key(GraphWithInterface(g, ()))))
-    return members
+    members = [g for g in pools[gamma.start.name].values() if g.closed]
+    members.sort(key=lambda g: (g.graph.n, g.key))
+    return [g.graph for g in members]
 
 
 class Presentation:

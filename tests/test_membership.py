@@ -1,13 +1,16 @@
 import pytest
 
-from clausegraph.clauses import Atom, Clause, ClauseSystem, PredicateSymbol
+from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
+    EMPTY_INTERFACE_GRAPH,
     GraphPattern,
     GraphWithInterface,
+    VariableHyperedge,
     closed,
     graph_from_parts,
     iso_check,
+    star_pattern,
 )
 from clausegraph.membership import (
     derive_fixpoint,
@@ -15,6 +18,7 @@ from clausegraph.membership import (
     member,
     sub_w,
 )
+from clausegraph.teacher import generate_language
 
 from .oracles import TopDownOracle
 
@@ -161,16 +165,34 @@ def test_twin_grammar_membership():
 
 
 def test_derivation_tree_replays_to_goal():
-    for builder, g in ((path_grammar, path_graph(4)),
-                       (twin_grammar, path_graph(4)),
-                       (twin_grammar, path_graph(3, ["a", "a", "b"])),
-                       (triangle_grammar, triangle())):
+    for builder in (path_grammar, triangle_grammar, twin_grammar):
         gamma, params = builder()
-        ok, tree = member(gamma, gamma.start, g, params, want_tree=True)
-        assert ok and tree is not None
-        replayed = tree.replay(gamma)
-        assert replayed is not None
-        assert iso_check(replayed, closed(g))
+        members = generate_language(gamma, params, 6)
+        assert members
+        for g in members:
+            ok, tree = member(gamma, gamma.start, g, params, want_tree=True)
+            assert ok and tree is not None
+            replayed = tree.replay(gamma)
+            assert replayed is not None
+            assert iso_check(replayed, closed(g))
+
+
+def test_rank0_variable_binds_the_whole_graph():
+    # p <- r(x) with x of rank 0: the start clause binds x to the whole
+    # triangle, which only the other rank-0 predicate r derives
+    p, r = PredicateSymbol("p", 0), PredicateSymbol("r", 0)
+    gamma = ClauseSystem([p, r], [
+        Clause(Atom(r, GraphPattern(closed(triangle())))),
+        Clause(Atom(p, GraphPattern(EMPTY_INTERFACE_GRAPH, [VariableHyperedge("x", ())])),
+               [Atom(r, star_pattern("x", ()))]),
+    ], start=p)
+    params = ParamTuple(m=2, s=1, t=1, w=0, d=2, delta=2, h_max=3)
+    assert TopDownOracle(gamma, delta=params.delta).member(triangle())
+    assert [g.n for g in generate_language(gamma, params, 6)] == [3]
+    ok, tree = member(gamma, p, triangle(), params, want_tree=True)
+    assert ok
+    assert iso_check(tree.replay(gamma), closed(triangle()))
+    assert not member(gamma, p, path_graph(3), params)
 
 
 def test_tree_formatting_mentions_clauses():
