@@ -361,44 +361,25 @@ def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInt
 # isomorphism
 # ---------------------------------------------------------------------------
 
-def _as_pattern_parts(g: GraphLike):
-    if isinstance(g, GraphPattern):
-        return g.base, g.hyperedges
-    if isinstance(g, GraphWithInterface):
-        return g, ()
-    raise ValueError(f"expected a graph with interface or a pattern, got {type(g)!r}")
-
-
-def _vertex_signatures(base: GraphWithInterface, hyper):
-    """Per-vertex invariant: (vlabel, interface position, hyperedge incidences)."""
+def _vertex_signatures(base: GraphWithInterface):
+    """Per-vertex invariant: (vlabel, interface position)."""
     g = base.graph
     ipos = {v: i for i, v in enumerate(base.interface)}
-    hsig = {v: [] for v in g.vertices}
-    for h in hyper:
-        for j, p in enumerate(h.ports):
-            hsig[p].append((h.label, h.rank, j))
-    return {v: (g.vlabel[v], ipos.get(v, -1), tuple(sorted(hsig[v]))) for v in g.vertices}
+    return {v: (g.vlabel[v], ipos.get(v, -1)) for v in g.vertices}
 
 
-def iso_check(a: GraphLike, b: GraphLike) -> bool:
-    """Interface-preserving isomorphism test.
+def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
+    """Interface-preserving isomorphism test for graphs with interface.
 
     True iff a vertex bijection exists preserving edges, vertex labels, edge
     labels, and mapping the i-th interface vertex of ``a`` to the i-th of
-    ``b``; pattern inputs additionally need a hyperedge bijection preserving
-    variable labels and port order.
+    ``b``.  Patterns are compared by ``canonical_key``.
     """
-    abase, ahyper = _as_pattern_parts(a)
-    bbase, bhyper = _as_pattern_parts(b)
-    ga, gb = abase.graph, bbase.graph
-    if ga.n != gb.n or ga.m != gb.m or abase.rank != bbase.rank:
+    ga, gb = a.graph, b.graph
+    if ga.n != gb.n or ga.m != gb.m or a.rank != b.rank:
         return False
-    if len(ahyper) != len(bhyper):
-        return False
-    if sorted((h.label, h.rank) for h in ahyper) != sorted((h.label, h.rank) for h in bhyper):
-        return False
-    asig = _vertex_signatures(abase, ahyper)
-    bsig = _vertex_signatures(bbase, bhyper)
+    asig = _vertex_signatures(a)
+    bsig = _vertex_signatures(b)
     if sorted(asig.values()) != sorted(bsig.values()):
         return False
     deg_sig_a = sorted((asig[v], ga.degree(v)) for v in ga.vertices)
@@ -410,8 +391,8 @@ def iso_check(a: GraphLike, b: GraphLike) -> bool:
     # backtracking, most-constrained (already-placed neighbors) first.
     mapping = {}
     used = set()
-    for i, v in enumerate(abase.interface):
-        w = bbase.interface[i]
+    for i, v in enumerate(a.interface):
+        w = b.interface[i]
         if asig[v] != bsig[w] or ga.degree(v) != gb.degree(w):
             return False
         mapping[v] = w
@@ -446,7 +427,7 @@ def iso_check(a: GraphLike, b: GraphLike) -> bool:
 
     def extend(i):
         if i == len(order):
-            return _hyperedges_match(ahyper, bhyper, mapping)
+            return True
         v = order[i]
         for w in bverts:
             if w in used or not compatible(v, w):
@@ -460,7 +441,7 @@ def iso_check(a: GraphLike, b: GraphLike) -> bool:
             used.discard(w)
         return False
 
-    for i, v in enumerate(abase.interface):
+    for i, v in enumerate(a.interface):
         if not _edges_consistent(ga, gb, v, mapping):
             return False
     return extend(0)
@@ -480,43 +461,84 @@ def _edges_consistent(ga, gb, v, mapping):
     return count_b == mapped_nbrs_b
 
 
-def _hyperedges_match(ahyper, bhyper, mapping) -> bool:
-    want = sorted((h.label, tuple(mapping[p] for p in h.ports)) for h in ahyper)
-    have = sorted((h.label, h.ports) for h in bhyper)
-    return want == have
-
-
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
 
 def canonical_key(g: GraphLike, rename_vars: Optional[Mapping[str, str]] = None):
-    """Deterministic key with ``key(g) == key(h)`` iff ``iso_check(g, h)``.
+    """Deterministic key, equal for two graphs with interface or two patterns
+    exactly when a vertex bijection preserves vertex and edge labels and the
+    interface order, and maps hyperedges onto hyperedges with their variable
+    labels and port order.
 
+    A pattern is canonicalised as one plain coloured graph, its incidence
+    graph (McKay & Piperno, *Practical graph isomorphism II*, 2014): each
+    hyperedge becomes a vertex coloured by its variable label and joined to
+    its j-th port by an edge labelled j.  Graph vertices are coloured by
+    (label, interface position).  Edge labels are numbered graph labels
+    first, port positions after them, so the two kinds never coincide.  The
+    key is the least leaf encoding of an individualisation-refinement search.
     ``rename_vars`` substitutes variable labels before encoding, which lets
     callers compare pattern shapes up to a variable renaming of their choice.
     """
-    base, hyper = _as_pattern_parts(g)
+    base, hyper = (g.base, g.hyperedges) if isinstance(g, GraphPattern) else (g, ())
     graph = base.graph
     verts = graph.vertices
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
-    adj = []
-    for u in verts:
-        row = tuple((lab, idx[w]) for w, lab in graph.neighbors(u))
-        adj.append(row)
-    ipos = {idx[v]: i for i, v in enumerate(base.interface)}
-    hsig = [[] for _ in range(n)]
+    iface = [idx[v] for v in base.interface]
+    ipos = {v: i for i, v in enumerate(iface)}
+    elab = {lab: i for i, lab in enumerate(sorted(set(graph.edges.values())))}
+    init = [(0, graph.vlabel[v], ipos.get(i, -1)) for i, v in enumerate(verts)]
+    adj = [[(elab[lab], idx[w]) for w, lab in graph.neighbors(v)] for v in verts]
     hedges = []
     for h in hyper:
-        lab = rename_vars[h.label] if rename_vars else h.label
-        hedges.append((lab, tuple(idx[p] for p in h.ports)))
-        for j, p in enumerate(h.ports):
-            hsig[idx[p]].append((lab, len(h.ports), j))
-    init = [(graph.vlabel[verts[i]], ipos.get(i, -1), tuple(sorted(hsig[i])))
-            for i in range(n)]
-    iface_idx = tuple(idx[v] for v in base.interface)
-    return _canonical_encoding(n, init, adj, iface_idx, tuple(sorted(hedges)))
+        e = len(init)
+        label = rename_vars[h.label] if rename_vars else h.label
+        ports = tuple(idx[p] for p in h.ports)
+        hedges.append((label, ports))
+        init.append((1, label))
+        adj.append([(len(elab) + j, p) for j, p in enumerate(ports)])
+        for j, p in enumerate(ports):
+            adj[p].append((len(elab) + j, e))
+    edges = [(idx[u], idx[v], lab) for (u, v), lab in graph.edges.items()]
+    size = len(init)
+    palette = {s: c for c, s in enumerate(sorted(set(init)))}
+    best = None
+    stack = [[palette[s] for s in init]]
+    while stack:
+        colors = _refine(size, stack.pop(), adj)
+        cells = {}
+        for i, c in enumerate(colors):
+            cells.setdefault(c, []).append(i)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            leaf = _leaf_encoding(n, colors, init, iface, edges, hedges)
+            if best is None or leaf < best:
+                best = leaf
+            continue
+        for v in _twin_reps(target, adj):
+            branched = list(colors)
+            branched[v] = size  # above every colour: v is individualised
+            stack.append(branched)
+    return best
+
+
+def _leaf_encoding(n, colors, init, iface, edges, hedges):
+    """The pattern with its graph vertices numbered in the order of a
+    discrete colouring: vertex labels, interface, edges, then hyperedges as
+    (label, port positions)."""
+    order = sorted(range(n), key=colors.__getitem__)
+    pos = [0] * n
+    for p, i in enumerate(order):
+        pos[i] = p
+    return (
+        n,
+        tuple(init[i][1] for i in order),
+        tuple(pos[i] for i in iface),
+        tuple(sorted((*sorted((pos[u], pos[v])), lab) for u, v, lab in edges)),
+        tuple(sorted((lab, tuple(pos[p] for p in ports)) for lab, ports in hedges)),
+    )
 
 
 def _refine(n, colors, adj):
@@ -533,84 +555,25 @@ def _refine(n, colors, adj):
         colors, ncolors = new, nnew
 
 
-def _encode(n, colors, adj, init, iface_idx, hedges):
-    order = sorted(range(n), key=lambda i: colors[i])
-    pos = {v: i for i, v in enumerate(order)}
-    edges = set()
-    for i in range(n):
-        for lab, j in adj[i]:
-            a, b = pos[i], pos[j]
-            edges.add((a, b, lab) if a < b else (b, a, lab))
-    return (
-        n,
-        tuple(init[v][0] for v in order),
-        tuple(pos[v] for v in iface_idx),
-        tuple(sorted(edges)),
-        tuple(sorted((lab, tuple(pos[p] for p in ports)) for lab, ports in hedges)),
-    )
-
-
-def _canonical_encoding(n, init, adj, iface_idx, hedges):
-    if n == 0:
-        return (0, (), (), (), tuple(sorted(hedges)))
-    palette = {s: c for c, s in enumerate(sorted(set(init)))}
-    colors = _refine(n, [palette[s] for s in init], adj)
-
-    def search(colors):
-        cells = {}
-        for i, c in enumerate(colors):
-            cells.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            return _encode(n, colors, adj, init, iface_idx, hedges)
-        best = None
-        bump = max(colors) + 1
-        for v in _twin_reps(target, adj):
-            branched = list(colors)
-            branched[v] = bump
-            enc = search(_refine(n, branched, adj))
-            if best is None or enc < best:
-                best = enc
-        return best
-
-    return search(colors)
-
-
 def _twin_reps(cell, adj):
     """One representative per group of mutually swappable cell vertices.
 
-    Two same-cell vertices whose labeled neighborhoods agree outside the pair
-    can be exchanged by an automorphism fixing everything else, so branching
-    on both can only repeat work.  Grouping by the off-pair neighborhood is
-    transitive within a cell: chained transpositions compose to automorphisms.
+    Two same-cell vertices whose labeled neighborhoods agree once the pair is
+    swapped can be exchanged by an automorphism fixing everything else, so
+    branching on both can only repeat work.  The grouping is transitive
+    within a cell: chained transpositions compose to automorphisms.
     """
     reps = []
-    groups = []
     for v in cell:
-        nv = set(adj[v])
-        placed = False
-        for gi, w in enumerate(reps):
-            nw = set(adj[w])
-            ev = [lab for lab, j in nv if j == w]
-            ew = [lab for lab, j in nw if j == v]
-            if ev == ew and {(lab, j) for lab, j in nv if j != w} == \
-                    {(lab, j) for lab, j in nw if j != v}:
-                groups[gi].append(v)
-                placed = True
-                break
-        if not placed:
+        if not any({(lab, v if j == w else j) for lab, j in adj[v]} == set(adj[w])
+                   for w in reps):
             reps.append(v)
-            groups.append([v])
     return reps
 
 
-def key_digest(g: GraphLike, length: int = 10) -> str:
+def key_digest(g: GraphLike) -> str:
     """Short stable hex digest of the canonical key, for names and logs."""
-    return hashlib.blake2b(repr(g.key).encode(), digest_size=8).hexdigest()[:length]
+    return hashlib.blake2b(repr(g.key).encode(), digest_size=8).hexdigest()[:10]
 
 
 # ---------------------------------------------------------------------------

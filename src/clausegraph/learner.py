@@ -150,9 +150,6 @@ class ClauseCandidate:
     def is_fact(self) -> bool:
         return not self.body
 
-    def distinct_variables(self) -> list:
-        return sorted({var for var, _, _ in self.body})
-
     def to_clause(self) -> Clause:
         head_atom = Atom(self.head.predicate, self.shape.pattern)
         body_atoms = [Atom(cls.predicate, _shared_star(var, labels))
@@ -288,7 +285,6 @@ class EnumerationInfo:
     total: int = 0
     facts: int = 0
     nonfacts: int = 0
-    by_body_len: dict = field(default_factory=dict)
     shape_constant: int = 0  # max shapes over (interface rank, body length)
 
 
@@ -346,8 +342,6 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
     candidates.sort(key=lambda c: c.key)
     for cand in candidates:
         info.total += 1
-        ell = len(cand.body)
-        info.by_body_len[ell] = info.by_body_len.get(ell, 0) + 1
         if cand.is_fact:
             info.facts += 1
         else:
