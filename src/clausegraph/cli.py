@@ -27,7 +27,7 @@ from .formats import (
 from .graphs import closed, key_digest
 from .learner import Learner
 from .membership import format_tree, member
-from .teacher import Teacher
+from .teacher import Teacher, generate_language
 
 log = logging.getLogger("clausegraph")
 
@@ -169,8 +169,14 @@ def _learn_config(args) -> dict:
     for key in ("target", "params", "size_cap", "stages", "out"):
         if config.get(key) is None:
             raise ValueError(f"config.{key}: missing (give --{key.replace('size_cap', 'cap')})")
-    if config.get("check_cap") is not None and config["check_cap"] > config["size_cap"]:
-        raise ValueError("config.check_cap: must not exceed size_cap")
+    for key in ("size_cap", "stages", "check_cap"):
+        if config[key] is not None and type(config[key]) is not int:
+            raise ValueError(f"config.{key}: expected an integer")
+    if config["check_cap"] is not None:
+        if config["check_cap"] > config["size_cap"]:
+            raise ValueError("config.check_cap: must not exceed size_cap")
+        if config["stages"] < 1:
+            raise ValueError("config.check_cap: needs at least one stage")
     return config
 
 
@@ -220,10 +226,25 @@ def _cmd_learn(args) -> int:
                             "unique": teacher.queries_unique,
                             "cache_verified": teacher.verify_cache()},
     }
+    if config["check_cap"] is not None:
+        trace["agreement"] = _agreement(learner.hypothesis, teacher,
+                                        config["check_cap"])
     (out / "trace.json").write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n")
     print(json.dumps(trace["convergence"], sort_keys=True))
     print(f"wrote {len(stages)} stage hypotheses and trace.json to {out}")
     return 0
+
+
+def _agreement(hypothesis, teacher: Teacher, cap: int) -> dict:
+    """Compare the final hypothesis' language with the target's up to ``cap``
+    vertices by canonical key; name up to 5 graphs in one but not the other."""
+    languages = [generate_language(gamma, teacher.params, cap)
+                 for gamma in (hypothesis, teacher.target)]
+    learned, target = ({c.key: c for c in map(closed, lang)} for lang in languages)
+    differing = sorted(learned.keys() ^ target.keys())
+    graphs = {**learned, **target}
+    return {"agree": not differing,
+            "differing": [key_digest(graphs[k]) for k in differing[:5]]}
 
 
 def _cmd_replay(args) -> int:

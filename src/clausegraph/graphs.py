@@ -423,32 +423,39 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
         placed.add(nxt)
         remaining.remove(nxt)
 
-    bverts = gb.vertices
+    for v in a.interface:
+        if not _edges_consistent(ga, gb, v, mapping, used):
+            return False
 
-    def extend(i):
-        if i == len(order):
+    # Depth-first over ``order`` with an explicit stack of candidate
+    # iterators, one per placed vertex, so depth is not bounded by the
+    # recursion limit.  Re-entering a level undoes that level's last choice.
+    bverts = gb.vertices
+    stack = [iter(bverts)]
+    while stack:
+        if len(stack) > len(order):
             return True
-        v = order[i]
-        for w in bverts:
+        v = order[len(stack) - 1]
+        if v in mapping:
+            used.discard(mapping.pop(v))
+        for w in stack[-1]:
             if w in used or not compatible(v, w):
                 continue
             mapping[v] = w
             used.add(w)
-            if _edges_consistent(ga, gb, v, mapping):
-                if extend(i + 1):
-                    return True
+            if _edges_consistent(ga, gb, v, mapping, used):
+                stack.append(iter(bverts))
+                break
             del mapping[v]
             used.discard(w)
-        return False
-
-    for i, v in enumerate(a.interface):
-        if not _edges_consistent(ga, gb, v, mapping):
-            return False
-    return extend(0)
+        else:
+            stack.pop()
+    return False
 
 
-def _edges_consistent(ga, gb, v, mapping):
-    """Edges between v and previously mapped vertices agree in both directions."""
+def _edges_consistent(ga, gb, v, mapping, used):
+    """Edges between v and previously mapped vertices agree in both directions;
+    ``used`` is the set of mapped-to vertices of ``gb``."""
     w = mapping[v]
     mapped_nbrs_b = 0
     for u, lab in ga.neighbors(v):
@@ -456,8 +463,7 @@ def _edges_consistent(ga, gb, v, mapping):
             if gb.edge_label(mapping[u], w) != lab:
                 return False
             mapped_nbrs_b += 1
-    inv = set(mapping.values())
-    count_b = sum(1 for x, _ in gb.neighbors(w) if x in inv)
+    count_b = sum(1 for x, _ in gb.neighbors(w) if x in used)
     return count_b == mapped_nbrs_b
 
 

@@ -2,7 +2,9 @@
 
 State is a pair of fragment-representation sets extracted from the positive
 sample: a predicate basis (refreshed only when the current hypothesis fails
-to cover the sample) and a residual set (refreshed every stage).  Each stage
+to cover the sample) and a residual set, which is every class seen so far.
+The classes grow with the sample: a graph new to it adds the classes of its
+own representations, and a graph already in it adds nothing.  Each stage
 rebuilds the hypothesis by enumerating bounded clause candidates over the
 basis and admitting exactly those that survive membership-query tests against
 residual substitutions.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from typing import Callable, Optional, Sequence
 
-from .boundary import enumerate_brep
+from .boundary import brep_for_graph
 from .clauses import (Atom, Clause, ClauseSystem, ParamTuple, clause_key,
                       predicate_for_fragment)
 from .graphs import (
@@ -567,8 +569,9 @@ class Learner:
         self.oracle = oracle
         self.params = params
         self.record_admissions = record_admissions
-        self.sample: list = []
-        self._sample_keys: set = set()
+        self._sample: dict = {}  # canonical key of closed(g) -> g, in arrival order
+        self._classes: dict = {}  # fragment key -> RepClass, first seen kept
+        self._raw_reps = 0
         self.basis: list = [EMPTY_CLASS]
         self.residual: list = []
         self.stage = 0
@@ -601,11 +604,30 @@ class Learner:
         self._cache_value = (gamma, stats, gamma_digest(gamma))
         return self._cache_value
 
+    @property
+    def sample(self) -> list:
+        """The distinct graphs seen so far, in arrival order."""
+        return list(self._sample.values())
+
+    def _add_classes(self, g: LabeledGraph):
+        """Merge the representations of a graph new to the sample into the
+        classes.  The sample only grows by appending, so keeping the first
+        class seen for a key keeps the representative that collapsing the
+        whole sample would pick."""
+        reps = brep_for_graph(g, self.params.w, source=len(self._sample) - 1)
+        self._raw_reps += len(reps)
+        for cls in collapse_reps(reps):
+            known = self._classes.setdefault(cls.key, cls)
+            if known is not cls:
+                known.count += cls.count
+        self.residual = sorted(self._classes.values(),
+                               key=lambda c: (c.rank, c.key))
+
     def _covers_sample(self, gamma: ClauseSystem, digest: str) -> tuple:
         calls = 0
         covered = True
-        for g in self.sample:
-            gkey = (digest, canonical_key(closed(g)))
+        for key, g in self._sample.items():
+            gkey = (digest, key)
             if gkey in self._coverage_memo:
                 verdict = self._coverage_memo[gkey]
             else:
@@ -631,21 +653,17 @@ class Learner:
         # unchanged state this is the cached previous construction
         interim, _, interim_digest = self._construct()
 
-        key = canonical_key(closed(g))
-        if key not in self._sample_keys:
-            self._sample_keys.add(key)
-            self.sample.append(g)
+        presented = closed(g)
+        if presented.key not in self._sample:
+            self._sample[presented.key] = g
             self._vlabels.update(g.vlabel.values())
             self._elabels.update(g.edges.values())
+            self._add_classes(g)
 
         covered, member_calls = self._covers_sample(interim, interim_digest)
         update_fired = not covered
-
-        reps = enumerate_brep(self.sample, self.params.w, self.params.delta)
-        classes = collapse_reps(reps)
         if update_fired:
-            self.basis = with_empty_class(classes)
-        self.residual = classes
+            self.basis = with_empty_class(self.residual)
 
         record = ConstructionRecord([], [], None, [], []) if self.record_admissions else None
         gamma, stats, digest = self._construct(record=record)
@@ -662,12 +680,12 @@ class Learner:
             "shape_constant": stats.shape_constant,
             "admitted_clauses": stats.admitted,
             "internal_member_calls": member_calls,
-            "raw_representations": len(reps),
+            "raw_representations": self._raw_reps,
         }
         out = StageRecord(
             stage=self.stage,
-            presented=key_digest(closed(g)),
-            sample_size=len(self.sample),
+            presented=key_digest(presented),
+            sample_size=len(self._sample),
             update_fired=update_fired,
             basis_size=len(self.basis),
             residual_size=len(self.residual),

@@ -235,6 +235,46 @@ def test_learn_config_check_cap_bound(tmp_path, capsys):
     assert "check_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stages, agree", [(8, True), (1, False)])
+def test_learn_check_cap_compares_languages(tmp_path, capsys, stages, agree):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "target": data_path("path_grammar.json"),
+        "params": data_path("path_params.json"),
+        "size_cap": 5, "stages": stages, "check_cap": 5,
+        "out": str(tmp_path / "checked")}))
+    assert dispatch(["learn", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    checked = json.loads((tmp_path / "checked" / "trace.json").read_text())
+    assert checked["agreement"]["agree"] is agree
+    differing = checked["agreement"]["differing"]
+    assert (differing == []) is agree
+    assert len(differing) <= 5
+    # without a check_cap the trace has no agreement field
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "check_cap": None}))
+    assert dispatch(["learn", "--config", str(cfg), "--out",
+                     str(tmp_path / "unchecked")]) == 0
+    capsys.readouterr()
+    unchecked = json.loads((tmp_path / "unchecked" / "trace.json").read_text())
+    assert "agreement" not in unchecked
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("check_cap", {"stages": 0}),
+    ("check_cap", {"check_cap": "4"}),
+    ("stages", {"stages": "2"}),
+])
+def test_learn_config_rejects_bad_fields(tmp_path, capsys, field, fields):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "target": data_path("path_grammar.json"),
+        "params": data_path("path_params.json"),
+        "size_cap": 4, "stages": 1, "check_cap": 4,
+        "out": str(tmp_path / "o"), **fields}))
+    assert dispatch(["learn", "--config", str(cfg)]) == 1
+    assert f"config.{field}" in capsys.readouterr().err
+
+
 def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("CLAUSEGRAPH_OUT", str(target))

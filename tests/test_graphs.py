@@ -325,6 +325,12 @@ def test_key_of_many_isolated_vertices_needs_no_deep_recursion():
     assert canonical_key(g) == canonical_key(renumbered)
 
 
+def test_iso_check_of_many_isolated_vertices_needs_no_deep_recursion():
+    g = closed(graph_from_parts([(i, "a") for i in range(1100)]))
+    renumbered = closed(graph_from_parts([(3 * i + 7, "a") for i in range(1100)]))
+    assert iso_check(g, renumbered)
+
+
 def _corpus(seed, count, max_n=7):
     rng = random.Random(seed)
     out = []

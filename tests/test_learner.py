@@ -343,6 +343,53 @@ def test_post_convergence_stage_changes_nothing(path_teacher):
     assert again.hypothesis_digest == last.hypothesis_digest
 
 
+def renumbered(g, offset):
+    return graph_from_parts(
+        [(v + offset, lab) for v, lab in g.vlabel.items()],
+        [(u + offset, v + offset, lab) for (u, v), lab in g.edges.items()])
+
+
+def test_incremental_classes_match_whole_sample_collapse(path_teacher):
+    teacher, params = path_teacher
+    learner = Learner(teacher.answer, params)
+    # path(3) on fresh vertex ids shares classes with path(2) through
+    # fragments that differ as objects, so keeping the last representative
+    # of a class instead of the first shows; the repeat and the renumbered
+    # copy of path(2) are not new to the sample
+    shown = [path(2), renumbered(path(3), 10), path(2),
+             renumbered(path(2), 20), path(4)]
+    for g in shown:
+        rec = learner.observe(g)
+        reps = enumerate_brep(learner.sample, params.w, params.delta)
+        want = collapse_reps(reps)
+        assert [c.key for c in learner.residual] == [c.key for c in want]
+        assert [c.fragment for c in learner.residual] == [c.fragment for c in want]
+        assert [c.count for c in learner.residual] == [c.count for c in want]
+        assert rec.counters["raw_representations"] == len(reps)
+    assert len(learner.sample) == 3
+
+
+def test_stage_on_a_known_graph_enumerates_nothing(path_teacher, monkeypatch):
+    import clausegraph.learner as learner_mod
+    calls = []
+    original = learner_mod.brep_for_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learner_mod, "brep_for_graph", counting)
+    teacher, params = path_teacher
+    learner = Learner(teacher.answer, params)
+    learner.observe(path(3))
+    assert len(calls) == 1
+    for g in (path(3), renumbered(path(3), 5)):
+        learner.observe(g)
+        assert len(calls) == 1
+    learner.observe(path(4))
+    assert calls == [path(3), path(4)]
+
+
 def test_query_budget_per_stage(path_teacher):
     teacher, params = path_teacher
     learner = Learner(teacher.answer, params)
