@@ -15,6 +15,7 @@ fragments' canonical keys).
 from __future__ import annotations
 
 from collections import deque
+from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -148,7 +149,7 @@ def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> lis
     out = []
     verts = sorted(g.vertices)
     for r in range(w + 1):
-        for beta in _tuples(verts, r):
+        for beta in permutations(verts, r):
             bset = set(beta)
             incident = sorted(e for e in g.edges
                               if e[0] in bset or e[1] in bset)
@@ -157,21 +158,6 @@ def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> lis
                 spec = BoundarySpec(source, beta, eb)
                 out.append(BoundaryRep(spec, build_fragment(g, beta, eb)))
     return out
-
-
-def _tuples(verts, r):
-    """Ordered tuples of distinct vertices, lexicographically."""
-    if r == 0:
-        yield ()
-        return
-    def rec(prefix):
-        if len(prefix) == r:
-            yield tuple(prefix)
-            return
-        for v in verts:
-            if v not in prefix:
-                yield from rec(prefix + [v])
-    yield from rec([])
 
 
 def enumerate_brep(sample: Sequence[LabeledGraph], w: int, delta: int) -> list:

@@ -151,33 +151,47 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _learn_config(args) -> dict:
-    config = {"size_cap": None, "stages": None, "check_cap": None, "seed": None,
-              "target": None, "params": None, "out": None}
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError("config: expected an object")
-        for key in loaded:
-            if key not in config:
-                raise ValueError(f"config.{key}: unknown field")
-        config.update(loaded)
-    for key in ("target", "params", "cap", "stages", "seed", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config["size_cap" if key == "cap" else key] = value
-    for key in ("target", "params", "size_cap", "stages", "out"):
-        if config.get(key) is None:
-            raise ValueError(f"config.{key}: missing (give --{key.replace('size_cap', 'cap')})")
-    for key in ("size_cap", "stages", "check_cap"):
+_CONFIG_FLAGS = {"target": "target", "params": "params", "size_cap": "cap",
+                 "stages": "stages", "check_cap": None, "seed": "seed",
+                 "out": "out"}
+
+
+def _checked_config(loaded, flags) -> dict:
+    """A learn config from a config object and explicit flags (flags win),
+    every field checked.  ``flags`` is None on replay: a trace's config is
+    taken as recorded and needs no output directory."""
+    config = dict.fromkeys(_CONFIG_FLAGS)
+    if not isinstance(loaded, dict):
+        raise ValueError("config: expected an object")
+    for key in loaded:
+        if key not in config:
+            raise ValueError(f"config.{key}: unknown field")
+    config.update(loaded)
+    config.update(flags or {})
+    required = ("target", "params", "size_cap", "stages")
+    for key in required + (("out",) if flags is not None else ()):
+        if config[key] is None:
+            hint = f" (give --{_CONFIG_FLAGS[key]})" if flags is not None else ""
+            raise ValueError(f"config.{key}: missing{hint}")
+    for key in ("size_cap", "stages", "check_cap", "seed"):
         if config[key] is not None and type(config[key]) is not int:
             raise ValueError(f"config.{key}: expected an integer")
+    for key in ("target", "params", "out"):
+        if config[key] is not None and not isinstance(config[key], str):
+            raise ValueError(f"config.{key}: expected a path string")
     if config["check_cap"] is not None:
         if config["check_cap"] > config["size_cap"]:
             raise ValueError("config.check_cap: must not exceed size_cap")
         if config["stages"] < 1:
             raise ValueError("config.check_cap: needs at least one stage")
     return config
+
+
+def _learn_config(args) -> dict:
+    loaded = json.loads(Path(args.config).read_text()) if args.config else {}
+    flags = {key: getattr(args, flag) for key, flag in _CONFIG_FLAGS.items()
+             if flag is not None and getattr(args, flag) is not None}
+    return _checked_config(loaded, flags)
 
 
 def _run_learn(config: dict) -> dict:
@@ -249,17 +263,24 @@ def _agreement(hypothesis, teacher: Teacher, cap: int) -> dict:
 
 def _cmd_replay(args) -> int:
     trace = json.loads(Path(args.replay).read_text())
-    config = dict(trace["config"])
+    if not isinstance(trace, dict):
+        raise ValueError("trace: expected an object")
+    config = _checked_config(trace.get("config"), None)
+    recorded = trace.get("stages")
+    if not isinstance(recorded, list):
+        raise ValueError("trace.stages: expected a list")
+    for i, old in enumerate(recorded):
+        if not isinstance(old, dict):
+            raise ValueError(f"trace.stages[{i}]: expected an object")
     result = _run_learn(config)
     fresh = [rec.summary() for rec in result["stages"]]
-    recorded = trace["stages"]
     mismatches = []
     for old, new in zip(recorded, fresh):
         for field in ("hypothesis_digest", "update_fired", "basis_size",
                       "residual_size", "oracle_queries", "candidates"):
             if old.get(field) != new.get(field):
                 mismatches.append(
-                    f"stage {old['stage']}: {field} {old.get(field)!r} != {new.get(field)!r}")
+                    f"stage {new['stage']}: {field} {old.get(field)!r} != {new.get(field)!r}")
     if len(recorded) != len(fresh):
         mismatches.append(f"stage count {len(recorded)} != {len(fresh)}")
     if mismatches:

@@ -41,6 +41,11 @@ def _as_str(value, field: str) -> str:
     return value
 
 
+def _as_list(value, field: str) -> list:
+    _expect(isinstance(value, list), field, f"expected a list, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # graphs
 # ---------------------------------------------------------------------------
@@ -59,14 +64,14 @@ def graph_from_obj(obj, field: str = "graph") -> GraphWithInterface:
     _expect(isinstance(obj, dict), field, "expected an object")
     _expect("vertices" in obj, f"{field}.vertices", "missing")
     vlabel = {}
-    for i, vo in enumerate(obj["vertices"]):
+    for i, vo in enumerate(_as_list(obj["vertices"], f"{field}.vertices")):
         _expect(isinstance(vo, dict), f"{field}.vertices[{i}]", "expected an object")
         vid = _as_int(vo.get("id"), f"{field}.vertices[{i}].id")
         lab = _as_str(vo.get("label"), f"{field}.vertices[{i}].label")
         _expect(vid not in vlabel, f"{field}.vertices[{i}].id", f"duplicate id {vid}")
         vlabel[vid] = lab
     edges = {}
-    for i, eo in enumerate(obj.get("edges", [])):
+    for i, eo in enumerate(_as_list(obj.get("edges", []), f"{field}.edges")):
         _expect(isinstance(eo, dict), f"{field}.edges[{i}]", "expected an object")
         u = _as_int(eo.get("u"), f"{field}.edges[{i}].u")
         v = _as_int(eo.get("v"), f"{field}.edges[{i}].v")
@@ -78,8 +83,7 @@ def graph_from_obj(obj, field: str = "graph") -> GraphWithInterface:
         _expect(key not in edges or edges[key] == lab, f"{field}.edges[{i}]",
                 "conflicting duplicate edge")
         edges[key] = lab
-    iface = obj.get("interface", [])
-    _expect(isinstance(iface, list), f"{field}.interface", "expected a list")
+    iface = _as_list(obj.get("interface", []), f"{field}.interface")
     for i, v in enumerate(iface):
         _as_int(v, f"{field}.interface[{i}]")
         _expect(v in vlabel, f"{field}.interface[{i}]", f"vertex {v} not declared")
@@ -116,12 +120,11 @@ def pattern_to_obj(p: GraphPattern) -> dict:
 def pattern_from_obj(obj, field: str = "pattern") -> GraphPattern:
     base = graph_from_obj(obj, field=field)
     hyper = []
-    for i, ho in enumerate(obj.get("hyperedges", [])):
+    for i, ho in enumerate(_as_list(obj.get("hyperedges", []), f"{field}.hyperedges")):
         _expect(isinstance(ho, dict), f"{field}.hyperedges[{i}]", "expected an object")
         var = _as_str(ho.get("variable"), f"{field}.hyperedges[{i}].variable")
         rank = _as_int(ho.get("rank"), f"{field}.hyperedges[{i}].rank")
-        ports = ho.get("ports", [])
-        _expect(isinstance(ports, list), f"{field}.hyperedges[{i}].ports", "expected a list")
+        ports = _as_list(ho.get("ports", []), f"{field}.hyperedges[{i}].ports")
         _expect(len(ports) == rank, f"{field}.hyperedges[{i}].rank",
                 f"rank {rank} != ports length {len(ports)}")
         for j, port in enumerate(ports):
@@ -155,7 +158,7 @@ def grammar_to_obj(gamma: ClauseSystem) -> dict:
 def grammar_from_obj(obj) -> ClauseSystem:
     _expect(isinstance(obj, dict), "grammar", "expected an object")
     preds = {}
-    for i, po in enumerate(obj.get("predicates", [])):
+    for i, po in enumerate(_as_list(obj.get("predicates", []), "predicates")):
         _expect(isinstance(po, dict), f"predicates[{i}]", "expected an object")
         name = _as_str(po.get("name"), f"predicates[{i}].name")
         irank = _as_int(po.get("irank"), f"predicates[{i}].irank")
@@ -175,11 +178,12 @@ def grammar_from_obj(obj) -> ClauseSystem:
             raise ValueError(f"{field}: {exc}") from exc
 
     clauses = []
-    for i, co in enumerate(obj.get("clauses", [])):
+    for i, co in enumerate(_as_list(obj.get("clauses", []), "clauses")):
         _expect(isinstance(co, dict), f"clauses[{i}]", "expected an object")
         head = atom_from(co.get("head"), f"clauses[{i}].head")
         body = [atom_from(ao, f"clauses[{i}].body[{j}]")
-                for j, ao in enumerate(co.get("body", []))]
+                for j, ao in enumerate(_as_list(co.get("body", []),
+                                                f"clauses[{i}].body"))]
         clauses.append(Clause(head, body))
     try:
         return ClauseSystem(preds.values(), clauses, start=preds[start_name])

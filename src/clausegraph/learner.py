@@ -4,10 +4,11 @@ State is a pair of fragment-representation sets extracted from the positive
 sample: a predicate basis (refreshed only when the current hypothesis fails
 to cover the sample) and a residual set, which is every class seen so far.
 The classes grow with the sample: a graph new to it adds the classes of its
-own representations, and a graph already in it adds nothing.  Each stage
-rebuilds the hypothesis by enumerating bounded clause candidates over the
-basis and admitting exactly those that survive membership-query tests against
-residual substitutions.
+own representations, and a graph already in it adds nothing.  Whenever the
+basis, the residual or the label alphabets change, the learner rebuilds the
+hypothesis by enumerating bounded clause candidates over the basis and
+admitting exactly those that survive membership-query tests against residual
+substitutions; a stage that changes none of them keeps the last hypothesis.
 
 Representations with isomorphic fragments are collapsed into one class:
 every admission test depends on a representation only through its fragment,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
 from typing import Callable, Optional, Sequence
@@ -90,32 +92,29 @@ class ObservationTable:
     """Boolean table over (basis class, residual class) pairs: a cell is true
     iff the composition of the two fragments is defined and the oracle
     accepts it.  Rank mismatches and undefined compositions are false without
-    a query."""
+    a query.  Each row keeps the set of its true columns, and ``row_of`` finds
+    a basis class's row by key, so admission tests read the table directly."""
 
     def __init__(self, rows: Sequence[RepClass], cols: Sequence[RepClass],
                  oracle: Callable[[LabeledGraph], bool]):
         self.rows = list(rows)
         self.cols = list(cols)
-        self.cells: dict = {}
+        self.row_of = {cls.key: ri for ri, cls in enumerate(self.rows)}
         self.queries = 0
-        self._positives = [[] for _ in self.rows]
-        for ri, row in enumerate(self.rows):
+        self.true_cols = []
+        for row in self.rows:
+            true = []
             for ci, col in enumerate(self.cols):
-                value = False
                 if row.rank == col.rank:
                     composed = compose(row.fragment, col.fragment)
                     if composed is not None:
                         self.queries += 1
-                        value = oracle(composed)
-                self.cells[(ri, ci)] = value
-                if value:
-                    self._positives[ri].append(ci)
+                        if oracle(composed):
+                            true.append(ci)
+            self.true_cols.append(frozenset(true))
 
     def cell(self, ri: int, ci: int) -> bool:
-        return self.cells[(ri, ci)]
-
-    def positives(self, ri: int) -> list:
-        return self._positives[ri]
+        return ci in self.true_cols[ri]
 
 
 # ---------------------------------------------------------------------------
@@ -282,30 +281,20 @@ def candidate_key(cand: ClauseCandidate) -> tuple:
                        for var, labels, cls in cand.body])
 
 
-@dataclass
-class EnumerationInfo:
-    total: int = 0
-    facts: int = 0
-    nonfacts: int = 0
-    shape_constant: int = 0  # max shapes over (interface rank, body length)
-
-
 def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
                          vlabels: tuple, elabels: tuple):
     """All clause candidates over the basis, deduplicated by whole-clause
-    shape key, in deterministic order."""
+    shape key, in deterministic order, and the shape constant: the most head
+    shapes for one (interface rank, body length)."""
     by_rank: dict = {}
     for cls in basis:
         by_rank.setdefault(cls.rank, []).append(cls)
     candidates = []
-    info = EnumerationInfo()
     seen = set()
-    shape_counts: dict = {}
+    shape_counts: Counter = Counter()
     for head_rank in sorted(by_rank):
         shapes = head_shapes(head_rank, params, vlabels, elabels)
-        for shape in shapes:
-            sck = (head_rank, shape.body_len)
-            shape_counts[sck] = shape_counts.get(sck, 0) + 1
+        shape_counts.update((head_rank, shape.body_len) for shape in shapes)
         for head_cls in by_rank[head_rank]:
             for shape in shapes:
                 if shape.body_len > params.t:
@@ -342,14 +331,7 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
                     seen.add(cand.key)
                     candidates.append(cand)
     candidates.sort(key=lambda c: c.key)
-    for cand in candidates:
-        info.total += 1
-        if cand.is_fact:
-            info.facts += 1
-        else:
-            info.nonfacts += 1
-    info.shape_constant = max(shape_counts.values(), default=0)
-    return candidates, info
+    return candidates, max(shape_counts.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +352,9 @@ class _AdmissionMemo:
 def admit_clause(cand: ClauseCandidate, table: ObservationTable,
                  oracle: Callable[[LabeledGraph], bool],
                  memo: Optional[_AdmissionMemo] = None,
-                 counter: Optional[dict] = None) -> bool:
+                 counter: Optional[Counter] = None) -> bool:
     """Apply the admission test for one candidate against the table's
-    residual classes.
+    residual classes, counting queries and families in ``counter``.
 
     Facts are admitted iff the composition of the head fragment with the
     ground head is defined and oracle-positive.  Non-facts are rejected iff
@@ -380,35 +362,28 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
     graph whose head composition is undefined or oracle-negative.
     """
     memo = memo if memo is not None else _AdmissionMemo()
-    counter = counter if counter is not None else {}
+    counter = counter if counter is not None else Counter()
     if cand.is_fact:
-        counter["fact_queries"] = counter.get("fact_queries", 0)
         composed = compose(cand.head.fragment, cand.shape.pattern.as_interface_graph())
         if composed is None:
             return False
         counter["fact_queries"] += 1
         return oracle(composed)
 
-    row_index = {cls.key: ri for ri, cls in enumerate(table.rows)}
     variables = sorted({var for var, _, _ in cand.body})
     per_var_cols = []
     for var in variables:
-        sets = []
-        for v, _, cls in cand.body:
-            if v != var:
-                continue
-            ri = row_index.get(cls.key)
-            if ri is None:
-                return True  # body predicate outside the table: no family exists
-            sets.append(set(table.positives(ri)))
-        cols = set.intersection(*sets) if sets else set()
+        rows = [table.row_of.get(cls.key) for v, _, cls in cand.body if v == var]
+        if None in rows:
+            return True  # body predicate outside the table: no family exists
+        cols = frozenset.intersection(*(table.true_cols[ri] for ri in rows))
         if not cols:
             return True  # vacuous admission: no all-positive family
         per_var_cols.append(sorted(cols))
 
     shape_id = cand.shape.pattern.key
     for family in product(*per_var_cols):
-        counter["families"] = counter.get("families", 0) + 1
+        counter["families"] += 1
         rkey = (shape_id, family)
         if rkey in memo.realize_memo:
             realized_id = memo.realize_memo[rkey]
@@ -433,7 +408,7 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
             if composed is None:
                 verdict = False  # undefined head composition reads as negative
             else:
-                counter["admission_queries"] = counter.get("admission_queries", 0) + 1
+                counter["admission_queries"] += 1
                 verdict = oracle(composed)
             memo.head_memo[hkey] = verdict
         if not verdict:
@@ -446,75 +421,53 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GammaStats:
-    table_queries: int = 0
-    fact_candidates: int = 0
-    nonfact_candidates: int = 0
-    candidates_total: int = 0
-    shape_constant: int = 0
-    fact_queries: int = 0
-    admission_queries: int = 0
-    families: int = 0
-    admitted: int = 0
-    oracle_calls: int = 0
-
-
-@dataclass
-class ConstructionRecord:
-    """What a stage's construction saw: enough to replay admissions."""
+class Construction:
+    """One hypothesis construction: the hypothesis, its counters under the
+    trace field names, what it was built from, and every candidate's
+    verdict."""
+    hypothesis: ClauseSystem
+    counters: dict
     basis: list
     residual: list
     table: ObservationTable
-    rejected: list
     admitted: list
+    rejected: list
 
 
 def construct_gamma(basis: Sequence[RepClass], residual: Sequence[RepClass],
                     oracle: Callable[[LabeledGraph], bool], params: ParamTuple,
-                    vlabels: tuple, elabels: tuple,
-                    record: Optional[ConstructionRecord] = None):
+                    vlabels: tuple, elabels: tuple) -> Construction:
     """Build the hypothesis for one (basis, residual) pair: one predicate per
     basis class, admitted candidates as clauses, the empty class as start."""
     basis = with_empty_class(basis)
-    calls = {"n": 0}
-
-    def counting_oracle(g):
-        calls["n"] += 1
-        return oracle(g)
-
-    table = ObservationTable(basis, residual, counting_oracle)
-    candidates, info = enumerate_candidates(basis, params, vlabels, elabels)
+    table = ObservationTable(basis, residual, oracle)
+    candidates, shape_constant = enumerate_candidates(basis, params, vlabels, elabels)
     memo = _AdmissionMemo()
-    counter: dict = {}
-    clauses = []
+    counter: Counter = Counter()
+    admitted, rejected = [], []
     for cand in candidates:
-        ok = admit_clause(cand, table, counting_oracle, memo, counter)
-        if ok:
-            clauses.append(cand.to_clause())
-            if record is not None:
-                record.admitted.append(cand)
-        elif record is not None:
-            record.rejected.append(cand)
-    if record is not None:
-        record.basis = list(basis)
-        record.residual = list(residual)
-        record.table = table
+        (admitted if admit_clause(cand, table, oracle, memo, counter)
+         else rejected).append(cand)
     predicates = [cls.predicate for cls in basis]
     start = next(cls.predicate for cls in basis if cls.key == EMPTY_CLASS.key)
-    gamma = ClauseSystem(predicates, clauses, start=start)
-    stats = GammaStats(
-        table_queries=table.queries,
-        fact_candidates=info.facts,
-        nonfact_candidates=info.nonfacts,
-        candidates_total=info.total,
-        shape_constant=info.shape_constant,
-        fact_queries=counter.get("fact_queries", 0),
-        admission_queries=counter.get("admission_queries", 0),
-        families=counter.get("families", 0),
-        admitted=len(clauses),
-        oracle_calls=calls["n"],
-    )
-    return gamma, stats
+    gamma = ClauseSystem(predicates, [cand.to_clause() for cand in admitted],
+                         start=start)
+    facts = sum(cand.is_fact for cand in candidates)
+    counters = {
+        "oracle_queries": (table.queries + counter["fact_queries"]
+                           + counter["admission_queries"]),
+        "table_queries": table.queries,
+        "fact_queries": counter["fact_queries"],
+        "admission_queries": counter["admission_queries"],
+        "families": counter["families"],
+        "candidates": len(candidates),
+        "fact_candidates": facts,
+        "nonfact_candidates": len(candidates) - facts,
+        "shape_constant": shape_constant,
+        "admitted_clauses": len(admitted),
+    }
+    return Construction(gamma, counters, basis, list(residual), table,
+                        admitted, rejected)
 
 
 def gamma_digest(gamma: ClauseSystem) -> str:
@@ -538,7 +491,6 @@ class StageRecord:
     hypothesis_digest: str
     counters: dict
     wall_time: float
-    construction: Optional[ConstructionRecord] = None
 
     def summary(self) -> dict:
         """Machine-readable stage facts; deterministic for equal runs, so
@@ -565,10 +517,9 @@ class Learner:
     """
 
     def __init__(self, oracle: Callable[[LabeledGraph], bool],
-                 params: ParamTuple, record_admissions: bool = False):
+                 params: ParamTuple):
         self.oracle = oracle
         self.params = params
-        self.record_admissions = record_admissions
         self._sample: dict = {}  # canonical key of closed(g) -> g, in arrival order
         self._classes: dict = {}  # fragment key -> RepClass, first seen kept
         self._raw_reps = 0
@@ -578,8 +529,7 @@ class Learner:
         self.records: list = []
         self._vlabels: set = set()
         self._elabels: set = set()
-        self._cache_key = None
-        self._cache_value = None  # (hypothesis, stats, digest)
+        self._cache = None  # (state key, hypothesis, counters, digest)
         self._coverage_memo: dict = {}
 
     # -- helpers -----------------------------------------------------------
@@ -592,17 +542,17 @@ class Learner:
                 tuple(c.key for c in self.residual),
                 self._alphabets())
 
-    def _construct(self, record: Optional[ConstructionRecord] = None):
+    def _construct(self):
+        """The hypothesis, counters and digest for the current state, rebuilt
+        only when the basis, the residual or the alphabets changed.  The
+        construction itself is dropped: its candidates and table are large."""
         key = self._state_key()
-        if record is None and self._cache_key == key:
-            return self._cache_value
-        vlabels, elabels = self._alphabets()
-        gamma, stats = construct_gamma(
-            self.basis, self.residual, self.oracle, self.params,
-            vlabels, elabels, record=record)
-        self._cache_key = key
-        self._cache_value = (gamma, stats, gamma_digest(gamma))
-        return self._cache_value
+        if self._cache is None or self._cache[0] != key:
+            cons = construct_gamma(self.basis, self.residual, self.oracle,
+                                   self.params, *self._alphabets())
+            self._cache = (key, cons.hypothesis, cons.counters,
+                           gamma_digest(cons.hypothesis))
+        return self._cache[1:]
 
     @property
     def sample(self) -> list:
@@ -650,7 +600,7 @@ class Learner:
                 f"{self.params.delta}")
 
         # the interim hypothesis reflects the end of the previous stage; on
-        # unchanged state this is the cached previous construction
+        # unchanged state this is the cached previous hypothesis
         interim, _, interim_digest = self._construct()
 
         presented = closed(g)
@@ -665,23 +615,9 @@ class Learner:
         if update_fired:
             self.basis = with_empty_class(self.residual)
 
-        record = ConstructionRecord([], [], None, [], []) if self.record_admissions else None
-        gamma, stats, digest = self._construct(record=record)
-
-        counters = {
-            "oracle_queries": stats.oracle_calls,
-            "table_queries": stats.table_queries,
-            "fact_queries": stats.fact_queries,
-            "admission_queries": stats.admission_queries,
-            "families": stats.families,
-            "candidates": stats.candidates_total,
-            "fact_candidates": stats.fact_candidates,
-            "nonfact_candidates": stats.nonfact_candidates,
-            "shape_constant": stats.shape_constant,
-            "admitted_clauses": stats.admitted,
-            "internal_member_calls": member_calls,
-            "raw_representations": self._raw_reps,
-        }
+        gamma, counters, digest = self._construct()
+        counters = {**counters, "internal_member_calls": member_calls,
+                    "raw_representations": self._raw_reps}
         out = StageRecord(
             stage=self.stage,
             presented=key_digest(presented),
@@ -693,7 +629,6 @@ class Learner:
             hypothesis_digest=digest,
             counters=counters,
             wall_time=time.perf_counter() - t0,
-            construction=record,
         )
         self.records.append(out)
         return out

@@ -1,8 +1,30 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
+import clausegraph.learner as learner_mod
 from clausegraph.graphs import GraphWithInterface, LabeledGraph
+
+
+@contextmanager
+def recorded_constructions():
+    """Collect every ``Construction`` the learner builds inside the block, in
+    order.  A stage whose state is unchanged reuses the last hypothesis and
+    builds nothing, so this lists what the learner actually built."""
+    built = []
+    original = learner_mod.construct_gamma
+
+    def recording(*args, **kwargs):
+        cons = original(*args, **kwargs)
+        built.append(cons)
+        return cons
+
+    learner_mod.construct_gamma = recording
+    try:
+        yield built
+    finally:
+        learner_mod.construct_gamma = original
 
 
 def random_graph(rng: random.Random, n: int, max_degree: int = 3,

@@ -37,7 +37,8 @@ from clausegraph.graphs import GraphPattern, VariableHyperedge
 from clausegraph.membership import member
 from clausegraph.teacher import Teacher, generate_language
 
-from .conftest import random_connected_graph, random_interface_graph
+from .conftest import (random_connected_graph, random_interface_graph,
+                       recorded_constructions)
 from .enumeration import all_graphs_upto
 from .oracles import TopDownOracle, brute_iso, naive_boundary_specs
 
@@ -77,15 +78,17 @@ def convergence_runs():
     for name, (builder, _) in TARGETS.items():
         gamma, params = builder()
         teacher = Teacher(gamma, params, size_cap=SIZE_CAP)
-        learner = Learner(teacher.answer, params, record_admissions=True)
+        learner = Learner(teacher.answer, params)
         presentation = teacher.presentation()
-        records = learner.run(presentation, 2 * len(teacher.language))
+        with recorded_constructions() as built:
+            records = learner.run(presentation, 2 * len(teacher.language))
         runs[name] = {
             "gamma": gamma,
             "params": params,
             "teacher": teacher,
             "learner": learner,
             "records": records,
+            "constructions": built,
         }
     return runs
 
@@ -352,16 +355,15 @@ def test_criterion_6_spurious_clause_elimination(convergence_runs):
 
 def test_criterion_7_monotone_rejection(convergence_runs):
     """Growing the residual set never turns a rejected non-fact candidate
-    into an admitted one, across every recorded stage of every run."""
+    into an admitted one, across every construction of every run."""
     t0 = time.perf_counter()
     replays = 0
     for name, run in convergence_runs.items():
         teacher = run["teacher"]
-        records = run["records"]
-        # large runs replay one growth per stage, small runs every growth
+        built = run["constructions"]
+        # large runs replay one growth per construction, small runs every growth
         budget = None if name != "twin" else 1
-        for prev, nxt in zip(records, records[1:]):
-            cons, cons_next = prev.construction, nxt.construction
+        for i, (cons, cons_next) in enumerate(zip(built, built[1:])):
             have = {c.key for c in cons.residual}
             added = [c for c in cons_next.residual if c.key not in have]
             if budget is not None:
@@ -372,7 +374,7 @@ def test_criterion_7_monotone_rejection(convergence_runs):
                                          teacher.answer)
                 for cand in rejected_nonfacts:
                     assert not admit_clause(cand, grown, teacher.answer), \
-                        f"{name} stage {prev.stage}: rejection flipped"
+                        f"{name} construction {i}: rejection flipped"
                     replays += 1
     print(f"\nACCEPTANCE 7 PASS: {replays} rejection replays stayed rejected "
           f"({time.perf_counter() - t0:.0f}s)")

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,31 @@ def test_invalid_grammar_is_domain_error(capsys, tmp_path, path_files):
     assert "clause" in err
 
 
+@pytest.mark.parametrize("field, name", [
+    ("vertices", "graph.vertices"),
+    ("edges", "graph.edges"),
+    ("hyperedges", "clauses[1].head.pattern.hyperedges"),
+    ("predicates", "predicates"),
+    ("clauses", "clauses"),
+    ("body", "clauses[1].body"),
+])
+def test_non_list_field_is_domain_error(capsys, tmp_path, path_files, field, name):
+    grammar = grammar_to_obj(load_grammar(path_files["grammar"]))
+    graph = json.loads(Path(path_files["graph"]).read_text())
+    clause = grammar["clauses"][1]
+    holder = {"vertices": graph, "edges": graph,
+              "hyperedges": clause["head"]["pattern"],
+              "predicates": grammar, "clauses": grammar, "body": clause}[field]
+    holder[field] = 7
+    (tmp_path / "grammar.json").write_text(json.dumps(grammar))
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    code = dispatch(["member", "--grammar", str(tmp_path / "grammar.json"),
+                     "--graph", str(tmp_path / "graph.json"),
+                     "--params", path_files["params"]])
+    assert code == 1
+    assert f"error: {name}: expected a list, got 7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["member", "member --tree", "learn"])
 def test_variable_rank_above_w_is_domain_error(capsys, tmp_path, path_files, command):
     # the path grammar's growing clauses bind rank-2 variables, which sub_w
@@ -208,6 +234,22 @@ def test_learn_replay_detects_tampering(capsys, tmp_path):
     assert "mismatch" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trace, message", [
+    ({}, "config: expected an object"),
+    ({"config": {"target": "t.json", "size_cap": 4, "stages": 1}, "stages": []},
+     "config.params: missing"),
+    ([1], "trace: expected an object"),
+    ({"config": {"target": "t.json", "params": "p.json", "size_cap": 4,
+                 "stages": 1}, "stages": 3}, "trace.stages: expected a list"),
+])
+def test_learn_replay_rejects_malformed_trace(capsys, tmp_path, trace, message):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace))
+    assert dispatch(["learn", "--replay", str(trace_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_learn_config_file_with_flag_override(capsys, tmp_path):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "config.json"
@@ -263,6 +305,8 @@ def test_learn_check_cap_compares_languages(tmp_path, capsys, stages, agree):
     ("check_cap", {"stages": 0}),
     ("check_cap", {"check_cap": "4"}),
     ("stages", {"stages": "2"}),
+    ("seed", {"seed": [1]}),
+    ("target", {"target": 5}),
 ])
 def test_learn_config_rejects_bad_fields(tmp_path, capsys, field, fields):
     cfg = tmp_path / "config.json"

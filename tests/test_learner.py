@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from clausegraph.clauses import ParamTuple
@@ -26,6 +29,8 @@ from clausegraph.learner import (
 from clausegraph.boundary import enumerate_brep
 from clausegraph.membership import member
 from clausegraph.teacher import Teacher
+
+from .conftest import recorded_constructions
 
 
 def path(n, labels=None):
@@ -72,7 +77,7 @@ def test_with_empty_class_is_idempotent():
 def test_table_empty_basis(path_teacher):
     teacher, params = path_teacher
     table = ObservationTable([], [], teacher.answer)
-    assert table.queries == 0 and not table.cells
+    assert table.queries == 0 and not table.true_cols
 
 
 def test_table_rank_mismatch_needs_no_query(path_teacher):
@@ -99,7 +104,7 @@ def test_table_context_cell_true(path_teacher):
                              teacher.answer)
     assert table.cell(0, 0) is True
     assert table.cell(0, 1) is False
-    assert table.positives(0) == [0]
+    assert table.true_cols[0] == {0}
 
 
 def test_table_query_budget(path_teacher):
@@ -117,12 +122,14 @@ def test_table_cells_reverify_against_decision_procedure(path_teacher):
     classes = collapse_reps(enumerate_brep([path(2), path(3)], 2, delta=2))
     rows = with_empty_class(classes)
     table = ObservationTable(rows, classes, teacher.answer)
-    for (ri, ci), value in table.cells.items():
-        composed = compose(rows[ri].fragment, classes[ci].fragment)
-        if composed is None:
-            assert value is False
-        else:
-            assert value == member(gamma, gamma.start, composed, params)
+    for ri, row in enumerate(rows):
+        for ci, col in enumerate(classes):
+            value = table.cell(ri, ci)
+            composed = compose(row.fragment, col.fragment)
+            if composed is None:
+                assert value is False
+            else:
+                assert value == member(gamma, gamma.start, composed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +138,9 @@ def test_table_cells_reverify_against_decision_procedure(path_teacher):
 
 def test_forced_fact_candidates():
     params = ParamTuple(m=1, s=0, t=0, w=0, d=0, delta=2, h_max=1)
-    cands, info = enumerate_candidates([EMPTY_CLASS], params, ("a",), ())
+    cands, _ = enumerate_candidates([EMPTY_CLASS], params, ("a",), ())
     # empty head and the single-vertex head, nothing else
-    assert info.total == 2 and info.facts == 2
+    assert len(cands) == 2 and all(c.is_fact for c in cands)
     sizes = sorted(c.shape.pattern.base.graph.n for c in cands)
     assert sizes == [0, 1]
 
@@ -162,11 +169,11 @@ def test_candidate_count_bound():
     gamma, params = path_grammar()
     basis = with_empty_class(
         collapse_reps(enumerate_brep([path(4)], params.w, params.delta)))
-    cands, info = enumerate_candidates(basis, params, ("a",), ("e",))
+    cands, shape_constant = enumerate_candidates(basis, params, ("a",), ("e",))
     n_f = len(basis)
-    bound = info.shape_constant * sum(
+    bound = shape_constant * sum(
         (n_f + 1) ** (ell + 1) for ell in range(params.t + 1))
-    assert info.total <= bound
+    assert len(cands) <= bound
 
 
 def test_target_shapes_appear_among_candidates():
@@ -282,7 +289,7 @@ def test_undefined_head_composition_rejects(path_teacher):
 
 def test_empty_state_yields_empty_hypothesis(path_teacher):
     teacher, params = path_teacher
-    gamma, stats = construct_gamma([], [], teacher.answer, params, (), ())
+    gamma = construct_gamma([], [], teacher.answer, params, (), ()).hypothesis
     assert len(gamma.predicates) == 1
     assert gamma.predicates[0] == gamma.start
     assert len(gamma.clauses) == 0
@@ -292,10 +299,35 @@ def test_empty_state_yields_empty_hypothesis(path_teacher):
 def test_clause_count_at_most_candidates(path_teacher):
     teacher, params = path_teacher
     classes = collapse_reps(enumerate_brep([path(2)], params.w, params.delta))
-    gamma, stats = construct_gamma(classes, classes, teacher.answer, params,
-                                   ("a",), ("e",))
-    assert stats.admitted <= stats.candidates_total
-    assert len(gamma.clauses) == stats.admitted
+    cons = construct_gamma(classes, classes, teacher.answer, params,
+                           ("a",), ("e",))
+    assert cons.counters["admitted_clauses"] <= cons.counters["candidates"]
+    assert len(cons.hypothesis.clauses) == len(cons.admitted) == \
+        cons.counters["admitted_clauses"]
+
+
+@pytest.mark.parametrize("builder,sample", [
+    (path_grammar, [path(2), path(3), path(4)]),
+    (twin_grammar, [path(2, ["a", "b"]), path(3, ["a", "a", "b"])]),
+])
+def test_oracle_queries_count_every_oracle_call(builder, sample):
+    gamma, params = builder()
+    teacher = Teacher(gamma, params, size_cap=5)
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return teacher.answer(g)
+
+    classes = collapse_reps(enumerate_brep(sample, params.w, params.delta))
+    vlabels = tuple(sorted({lab for g in sample for lab in g.vlabel.values()}))
+    cons = construct_gamma(classes, classes, counting, params, vlabels, ("e",))
+    c = cons.counters
+    assert c["admission_queries"] > 0 and c["fact_queries"] > 0
+    assert len(calls) == c["oracle_queries"] == \
+        c["table_queries"] + c["fact_queries"] + c["admission_queries"]
+    assert c["candidates"] == c["fact_candidates"] + c["nonfact_candidates"] == \
+        len(cons.admitted) + len(cons.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +456,38 @@ def test_triangle_target_learned_exactly():
 
 def test_recorded_construction_collects_decisions(path_teacher):
     teacher, params = path_teacher
-    learner = Learner(teacher.answer, params, record_admissions=True)
-    records = learner.run(teacher.presentation(), 3)
-    rec = records[-1]
-    assert rec.construction is not None
-    assert rec.construction.table is not None
-    assert len(rec.construction.admitted) == rec.counters["admitted_clauses"]
-    assert len(rec.construction.admitted) + len(rec.construction.rejected) == \
-        rec.counters["candidates"]
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions() as built:
+        records = learner.run(teacher.presentation(), 3)
+    rec, cons = records[-1], built[-1]
+    assert rec.hypothesis is cons.hypothesis
+    assert [c.key for c in cons.residual] == [c.key for c in learner.residual]
+    assert len(cons.table.rows) == rec.basis_size
+    assert len(cons.admitted) == rec.counters["admitted_clauses"]
+    assert len(cons.admitted) + len(cons.rejected) == rec.counters["candidates"]
+    assert cons.counters.items() <= rec.counters.items()
+
+
+def test_unchanged_state_builds_nothing(path_teacher):
+    teacher, params = path_teacher
+    learner = Learner(teacher.answer, params)
+    learner.observe(path(3))
+    with recorded_constructions() as built:
+        again = learner.observe(path(3))
+    assert built == [] and not again.update_fired
+    assert again.hypothesis is learner.records[0].hypothesis
 
 
 def test_monotone_rejection_on_single_growth(path_teacher):
     teacher, params = path_teacher
-    learner = Learner(teacher.answer, params, record_admissions=True)
-    records = learner.run(teacher.presentation(), 4)
-    for prev, nxt in zip(records, records[1:]):
-        cons = prev.construction
-        grown_keys = {c.key for c in nxt.construction.residual} - \
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions() as built:
+        learner.run(teacher.presentation(), 4)
+    assert len(built) >= 3
+    for cons, nxt in zip(built, built[1:]):
+        grown_keys = {c.key for c in nxt.residual} - \
             {c.key for c in cons.residual}
-        added = [c for c in nxt.construction.residual if c.key in grown_keys][:3]
+        added = [c for c in nxt.residual if c.key in grown_keys][:3]
         for extra in added:
             grown = ObservationTable(cons.basis, cons.residual + [extra],
                                      teacher.answer)
@@ -450,3 +495,22 @@ def test_monotone_rejection_on_single_growth(path_teacher):
                 if cand.is_fact:
                     continue
                 assert not admit_clause(cand, grown, teacher.answer), cand.key
+
+
+# every stage summary of a short seeded path run and twin run, hashed; the
+# values were taken before the stage counters moved into one construction
+# record, so any drift in a counter, a digest or a size fails here
+@pytest.mark.parametrize("builder,cap,stages,want", [
+    (path_grammar, 5, 8,
+     "a55e76e28ed5a13a598bdd54480f54b2896b0362d49c87849ac8bd608cf6af23"),
+    (twin_grammar, 4, 8,
+     "7d5338f241b3acbdeb22a38e5886a210a704d0f75cc2733b3642ba48633b577e"),
+])
+def test_stage_summaries_are_pinned(builder, cap, stages, want):
+    gamma, params = builder()
+    teacher = Teacher(gamma, params, size_cap=cap)
+    learner = Learner(teacher.answer, params)
+    digest = hashlib.sha256()
+    for rec in learner.run(teacher.presentation(seed=2), stages):
+        digest.update(json.dumps(rec.summary(), sort_keys=True).encode())
+    assert digest.hexdigest() == want
