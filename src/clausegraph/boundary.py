@@ -163,7 +163,10 @@ def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> lis
 def enumerate_brep(sample: Sequence[LabeledGraph], w: int, delta: int) -> list:
     """Every valid specification of rank 0..w over every sample graph, with
     fragments.  Distinct specifications stay distinct even when fragments are
-    isomorphic.  A sample graph exceeding the degree bound is an error."""
+    isomorphic.  A negative ``w`` or a sample graph exceeding the degree
+    bound is an error."""
+    if w < 0:
+        raise ValueError(f"w: must be non-negative, got {w}")
     for i, g in enumerate(sample):
         if g.max_degree() > delta:
             raise ValueError(

@@ -179,6 +179,8 @@ def _checked_config(loaded, flags) -> dict:
     for key in ("target", "params", "out"):
         if config[key] is not None and not isinstance(config[key], str):
             raise ValueError(f"config.{key}: expected a path string")
+    if config["stages"] < 0:
+        raise ValueError("config.stages: must be non-negative")
     if config["check_cap"] is not None:
         if config["check_cap"] > config["size_cap"]:
             raise ValueError("config.check_cap: must not exceed size_cap")

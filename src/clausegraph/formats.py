@@ -213,6 +213,8 @@ def params_to_obj(params: ParamTuple) -> dict:
 
 def params_from_obj(obj) -> ParamTuple:
     _expect(isinstance(obj, dict), "params", "expected an object")
+    for f in obj:
+        _expect(f in _PARAM_FIELDS, f"params.{f}", "unknown field")
     values = {}
     for f in _PARAM_FIELDS:
         _expect(f in obj, f"params.{f}", "missing")

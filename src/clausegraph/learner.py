@@ -9,6 +9,10 @@ basis, the residual or the label alphabets change, the learner rebuilds the
 hypothesis by enumerating bounded clause candidates over the basis and
 admitting exactly those that survive membership-query tests against residual
 substitutions; a stage that changes none of them keeps the last hypothesis.
+A rebuild reuses what a growing residual cannot change: the candidates while
+the basis and the alphabets stay, the realizations of residual classes, and
+the clause system while the admitted set stays.  Every oracle query is still
+asked, so the stage counters are those of a rebuild from scratch.
 
 Representations with isomorphic fragments are collapsed into one class:
 every admission test depends on a representation only through its fragment,
@@ -339,14 +343,45 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
 # ---------------------------------------------------------------------------
 
 class _AdmissionMemo:
-    """Shared scratch for one hypothesis construction: realizations keyed by
-    (shape, residual bindings) and oracle verdicts keyed by (head class,
-    realization)."""
+    """Scratch for hypothesis constructions; a ``Learner`` keeps one for its
+    whole life.
+
+    What a growing residual cannot change is carried from one construction
+    to the next: the candidate list and shape constant, while the basis
+    keys, the bounds and the alphabets stay the same; realizations, keyed by
+    (head shape, residual classes) and canonicalised once in ``realized``;
+    and the clause system, while the basis keys and the admitted candidates'
+    keys stay the same.  Oracle verdicts (``head_memo``) are kept for one
+    construction only, so every query, family and counter is the one a
+    construction from scratch makes."""
 
     def __init__(self):
         self.realize_memo: dict = {}
         self.head_memo: dict = {}
         self.realized: dict = {}
+        self._candidates = None  # (key, candidates, shape constant)
+        self._system = None  # (key, ClauseSystem)
+
+    def candidates(self, basis: Sequence[RepClass], params: ParamTuple,
+                   vlabels: tuple, elabels: tuple):
+        """``enumerate_candidates``, reused while its inputs are unchanged."""
+        key = (tuple(c.key for c in basis), params, vlabels, elabels)
+        if self._candidates is None or self._candidates[0] != key:
+            self._candidates = (key, *enumerate_candidates(
+                basis, params, vlabels, elabels))
+        return self._candidates[1:]
+
+    def system(self, basis: Sequence[RepClass], admitted) -> ClauseSystem:
+        """The hypothesis over the basis with the admitted candidates as
+        clauses and the empty class as start; the same object while the
+        basis keys and the admitted keys, in order, are unchanged."""
+        key = (tuple(c.key for c in basis), tuple(c.key for c in admitted))
+        if self._system is None or self._system[0] != key:
+            start = next(c.predicate for c in basis if c.key == EMPTY_CLASS.key)
+            self._system = (key, ClauseSystem(
+                [c.predicate for c in basis],
+                [cand.to_clause() for cand in admitted], start=start))
+        return self._system[1]
 
 
 def admit_clause(cand: ClauseCandidate, table: ObservationTable,
@@ -382,14 +417,17 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
         per_var_cols.append(sorted(cols))
 
     shape_id = cand.shape.pattern.key
+    cols = table.cols
     for family in product(*per_var_cols):
         counter["families"] += 1
-        rkey = (shape_id, family)
+        # residual classes, not column indices: a class keeps its object for
+        # the learner's life while its column shifts as the residual grows
+        classes = tuple(cols[ci] for ci in family)
+        rkey = (shape_id, classes)
         if rkey in memo.realize_memo:
             realized_id = memo.realize_memo[rkey]
         else:
-            theta = {var: table.cols[ci].fragment
-                     for var, ci in zip(variables, family)}
+            theta = {var: cls.fragment for var, cls in zip(variables, classes)}
             realized = realize(cand.shape.pattern, theta)
             if realized is None:
                 realized_id = None
@@ -436,22 +474,24 @@ class Construction:
 
 def construct_gamma(basis: Sequence[RepClass], residual: Sequence[RepClass],
                     oracle: Callable[[LabeledGraph], bool], params: ParamTuple,
-                    vlabels: tuple, elabels: tuple) -> Construction:
+                    vlabels: tuple, elabels: tuple,
+                    memo: Optional[_AdmissionMemo] = None) -> Construction:
     """Build the hypothesis for one (basis, residual) pair: one predicate per
-    basis class, admitted candidates as clauses, the empty class as start."""
+    basis class, admitted candidates as clauses, the empty class as start.
+    Without ``memo`` everything is built from scratch; with one carried over
+    from earlier constructions on the same oracle and bounds, the result is
+    the same and only the reusable work is skipped."""
+    memo = memo if memo is not None else _AdmissionMemo()
+    memo.head_memo = {}
     basis = with_empty_class(basis)
     table = ObservationTable(basis, residual, oracle)
-    candidates, shape_constant = enumerate_candidates(basis, params, vlabels, elabels)
-    memo = _AdmissionMemo()
+    candidates, shape_constant = memo.candidates(basis, params, vlabels, elabels)
     counter: Counter = Counter()
     admitted, rejected = [], []
     for cand in candidates:
         (admitted if admit_clause(cand, table, oracle, memo, counter)
          else rejected).append(cand)
-    predicates = [cls.predicate for cls in basis]
-    start = next(cls.predicate for cls in basis if cls.key == EMPTY_CLASS.key)
-    gamma = ClauseSystem(predicates, [cand.to_clause() for cand in admitted],
-                         start=start)
+    gamma = memo.system(basis, admitted)
     facts = sum(cand.is_fact for cand in candidates)
     counters = {
         "oracle_queries": (table.queries + counter["fact_queries"]
@@ -530,6 +570,7 @@ class Learner:
         self._vlabels: set = set()
         self._elabels: set = set()
         self._cache = None  # (state key, hypothesis, counters, digest)
+        self._memo = _AdmissionMemo()
         self._coverage_memo: dict = {}
 
     # -- helpers -----------------------------------------------------------
@@ -545,13 +586,18 @@ class Learner:
     def _construct(self):
         """The hypothesis, counters and digest for the current state, rebuilt
         only when the basis, the residual or the alphabets changed.  The
-        construction itself is dropped: its candidates and table are large."""
+        construction itself is dropped: its table is large, and what the
+        next construction can reuse stays in the learner's memo."""
         key = self._state_key()
         if self._cache is None or self._cache[0] != key:
             cons = construct_gamma(self.basis, self.residual, self.oracle,
-                                   self.params, *self._alphabets())
-            self._cache = (key, cons.hypothesis, cons.counters,
-                           gamma_digest(cons.hypothesis))
+                                   self.params, *self._alphabets(),
+                                   memo=self._memo)
+            if self._cache is not None and cons.hypothesis is self._cache[1]:
+                digest = self._cache[3]
+            else:
+                digest = gamma_digest(cons.hypothesis)
+            self._cache = (key, cons.hypothesis, cons.counters, digest)
         return self._cache[1:]
 
     @property

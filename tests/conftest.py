@@ -8,16 +8,18 @@ from clausegraph.graphs import GraphWithInterface, LabeledGraph
 
 
 @contextmanager
-def recorded_constructions():
+def recorded_constructions(with_args: bool = False):
     """Collect every ``Construction`` the learner builds inside the block, in
     order.  A stage whose state is unchanged reuses the last hypothesis and
-    builds nothing, so this lists what the learner actually built."""
+    builds nothing, so this lists what the learner actually built.  With
+    ``with_args`` each entry is ``(args, kwargs, construction)``, the call
+    beside what it built."""
     built = []
     original = learner_mod.construct_gamma
 
     def recording(*args, **kwargs):
         cons = original(*args, **kwargs)
-        built.append(cons)
+        built.append((args, kwargs, cons) if with_args else cons)
         return cons
 
     learner_mod.construct_gamma = recording

@@ -166,6 +166,17 @@ def test_brep_output(capsys, tmp_path):
     assert "rank 1: 4 representations" in out
 
 
+def test_brep_rejects_negative_w(capsys, tmp_path):
+    edge = closed(graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]))
+    spath = tmp_path / "sample.json"
+    dump_graphs([edge], spath)
+    code = dispatch(["brep", "--sample", str(spath), "--w", "-1", "--delta", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "w: must be non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_check_reports_violations_and_safety(capsys, tmp_path, path_files):
     code = dispatch(["check", "--grammar", path_files["grammar"],
                      "--params", path_files["params"]])
@@ -307,6 +318,7 @@ def test_learn_check_cap_compares_languages(tmp_path, capsys, stages, agree):
     ("stages", {"stages": "2"}),
     ("seed", {"seed": [1]}),
     ("target", {"target": 5}),
+    ("stages", {"stages": -2}),
 ])
 def test_learn_config_rejects_bad_fields(tmp_path, capsys, field, fields):
     cfg = tmp_path / "config.json"

@@ -129,3 +129,6 @@ def test_params_validation():
         params_from_obj({"m": "x", "s": 1, "t": 1, "w": 1, "d": 1, "delta": 1, "h_max": 1})
     with pytest.raises(ValueError, match="non-negative"):
         params_from_obj({"m": -1, "s": 1, "t": 1, "w": 1, "d": 1, "delta": 1, "h_max": 1})
+    with pytest.raises(ValueError, match="params.x: unknown field"):
+        params_from_obj({"m": 1, "s": 1, "t": 1, "w": 1, "d": 1, "delta": 1,
+                         "h_max": 1, "x": 1})

@@ -12,6 +12,7 @@ from clausegraph.graphs import (
     closed,
     graph_from_parts,
 )
+import clausegraph.learner as learner_mod
 from clausegraph.learner import (
     EMPTY_CLASS,
     ClauseCandidate,
@@ -23,6 +24,7 @@ from clausegraph.learner import (
     collapse_reps,
     construct_gamma,
     enumerate_candidates,
+    gamma_digest,
     make_shape,
     with_empty_class,
 )
@@ -495,6 +497,49 @@ def test_monotone_rejection_on_single_growth(path_teacher):
                 if cand.is_fact:
                     continue
                 assert not admit_clause(cand, grown, teacher.answer), cand.key
+
+
+def _construction_facts(cons) -> tuple:
+    return (cons.counters, [c.key for c in cons.admitted],
+            [c.key for c in cons.rejected], gamma_digest(cons.hypothesis))
+
+
+@pytest.mark.parametrize("builder,cap", [(path_grammar, 5), (twin_grammar, 4)])
+def test_carried_memo_builds_what_scratch_builds(builder, cap):
+    gamma, params = builder()
+    teacher = Teacher(gamma, params, size_cap=cap)
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions(with_args=True) as built:
+        learner.run(teacher.presentation(seed=2), 8)
+    assert len(built) >= 3
+    for args, kwargs, cons in built:
+        assert "memo" in kwargs
+        scratch = construct_gamma(*args)
+        assert _construction_facts(cons) == _construction_facts(scratch)
+
+
+def test_unchanged_basis_reuses_candidates_and_system(monkeypatch):
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=5)
+    learner = Learner(teacher.answer, params)
+    calls = []
+    original = learner_mod.enumerate_candidates
+
+    def counting(basis, *rest):
+        calls.append(tuple(c.key for c in basis))
+        return original(basis, *rest)
+
+    monkeypatch.setattr(learner_mod, "enumerate_candidates", counting)
+    with recorded_constructions(with_args=True) as built:
+        records = learner.run(teacher.presentation(seed=2), 6)
+    # stages 3-6 grow the residual over the stage-2 basis, alphabets and
+    # admitted set, so each of them rebuilds onto the stage-2 system
+    assert len(built) >= 5
+    assert all(rec.hypothesis is records[1].hypothesis for rec in records[2:6])
+    inputs = [(tuple(c.key for c in args[0]), args[4:6]) for args, _, _ in built]
+    distinct = sum(1 for i, key in enumerate(inputs)
+                   if i == 0 or key != inputs[i - 1])
+    assert len(calls) == distinct < len(built)
 
 
 # every stage summary of a short seeded path run and twin run, hashed; the
