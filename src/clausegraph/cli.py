@@ -141,6 +141,8 @@ def _cmd_member(args, want_tree: bool) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.cap < 0:
+        raise ValueError("--cap: must be non-negative")
     gamma = load_grammar(args.grammar)
     params = load_params(args.params)
     teacher = Teacher(gamma, params, size_cap=args.cap)
@@ -179,8 +181,9 @@ def _checked_config(loaded, flags) -> dict:
     for key in ("target", "params", "out"):
         if config[key] is not None and not isinstance(config[key], str):
             raise ValueError(f"config.{key}: expected a path string")
-    if config["stages"] < 0:
-        raise ValueError("config.stages: must be non-negative")
+    for key in ("size_cap", "stages"):
+        if config[key] < 0:
+            raise ValueError(f"config.{key}: must be non-negative")
     if config["check_cap"] is not None:
         if config["check_cap"] > config["size_cap"]:
             raise ValueError("config.check_cap: must not exceed size_cap")

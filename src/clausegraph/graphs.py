@@ -361,90 +361,84 @@ def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInt
 # isomorphism
 # ---------------------------------------------------------------------------
 
-def _vertex_signatures(base: GraphWithInterface):
-    """Per-vertex invariant: (vlabel, interface position)."""
-    g = base.graph
-    ipos = {v: i for i, v in enumerate(base.interface)}
-    return {v: (g.vlabel[v], ipos.get(v, -1)) for v in g.vertices}
-
-
 def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
     """Interface-preserving isomorphism test for graphs with interface.
 
     True iff a vertex bijection exists preserving edges, vertex labels, edge
     labels, and mapping the i-th interface vertex of ``a`` to the i-th of
     ``b``.  Patterns are compared by ``canonical_key``.
+
+    The interface is mapped first, then the other vertices of ``a`` in
+    breadth-first order from it; a new root (the least unplaced vertex) is
+    taken only once that queue is empty.  A vertex reached from an earlier
+    vertex ``u`` by an edge labelled ``lab`` may map only to a neighbour of
+    ``u``'s image joined by ``lab``, so it has at most Δ candidates, and only
+    a root scans all of ``b``.  A miss between two fragments that differ only
+    in where the interface sits then fails within O(n·Δ) checks.  The sorted
+    ``(label, degree)`` pairs of both graphs are compared up front: roots
+    match any vertex of equal label and degree, so without it a graph of
+    isolated vertices that differs in one label backtracks factorially.
     """
     ga, gb = a.graph, b.graph
     if ga.n != gb.n or ga.m != gb.m or a.rank != b.rank:
         return False
-    asig = _vertex_signatures(a)
-    bsig = _vertex_signatures(b)
-    if sorted(asig.values()) != sorted(bsig.values()):
+    if (sorted((ga.vlabel[v], ga.degree(v)) for v in ga.vertices)
+            != sorted((gb.vlabel[w], gb.degree(w)) for w in gb.vertices)):
         return False
-    deg_sig_a = sorted((asig[v], ga.degree(v)) for v in ga.vertices)
-    deg_sig_b = sorted((bsig[v], gb.degree(v)) for v in gb.vertices)
-    if deg_sig_a != deg_sig_b:
-        return False
-
-    # Interface vertices are forced; remaining vertices are matched by
-    # backtracking, most-constrained (already-placed neighbors) first.
-    mapping = {}
-    used = set()
-    for i, v in enumerate(a.interface):
-        w = b.interface[i]
-        if asig[v] != bsig[w] or ga.degree(v) != gb.degree(w):
+    mapping = dict(zip(a.interface, b.interface))
+    used = set(b.interface)
+    for v, w in mapping.items():
+        if ga.vlabel[v] != gb.vlabel[w] or ga.degree(v) != gb.degree(w):
             return False
-        mapping[v] = w
-        used.add(w)
-
-    def compatible(v, w):
-        if bsig[w] != asig[v] or gb.degree(w) != ga.degree(v):
-            return False
-        for u, lab in ga.neighbors(v):
-            if u in mapping and gb.edge_label(mapping[u], w) != lab:
-                return False
-        return True
-
-    # Order free vertices: prefer ones adjacent to already-mapped vertices.
-    free = [v for v in ga.vertices if v not in mapping]
-    order = []
-    placed = set(mapping)
-    remaining = set(free)
-    while remaining:
-        nxt = None
-        for v in sorted(remaining):
-            if any(u in placed for u, _ in ga.neighbors(v)):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = min(remaining)
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
-
     for v in a.interface:
         if not _edges_consistent(ga, gb, v, mapping, used):
             return False
 
+    # Breadth-first queue of (vertex, earlier neighbour, edge label), the
+    # neighbour None for the interface and for roots; ``order`` is what
+    # follows the interface.
+    queue = [(v, None, None) for v in a.interface]
+    seen = set(a.interface)
+    roots = iter(ga.vertices)
+    head = 0
+    while len(queue) < ga.n:
+        if head == len(queue):
+            root = next(v for v in roots if v not in seen)
+            seen.add(root)
+            queue.append((root, None, None))
+        u = queue[head][0]
+        head += 1
+        for x, lab in ga.neighbors(u):
+            if x not in seen:
+                seen.add(x)
+                queue.append((x, u, lab))
+    order = queue[a.rank:]
+
+    def candidates(k):
+        if k == len(order):
+            return None  # every vertex is placed
+        _, u, lab = order[k]
+        if u is None:
+            return iter(gb.vertices)
+        return iter([x for x, xlab in gb.neighbors(mapping[u]) if xlab == lab])
+
     # Depth-first over ``order`` with an explicit stack of candidate
     # iterators, one per placed vertex, so depth is not bounded by the
     # recursion limit.  Re-entering a level undoes that level's last choice.
-    bverts = gb.vertices
-    stack = [iter(bverts)]
+    stack = [candidates(0)]
     while stack:
         if len(stack) > len(order):
             return True
-        v = order[len(stack) - 1]
+        v = order[len(stack) - 1][0]
         if v in mapping:
             used.discard(mapping.pop(v))
         for w in stack[-1]:
-            if w in used or not compatible(v, w):
+            if w in used or gb.vlabel[w] != ga.vlabel[v] or gb.degree(w) != ga.degree(v):
                 continue
             mapping[v] = w
             used.add(w)
             if _edges_consistent(ga, gb, v, mapping, used):
-                stack.append(iter(bverts))
+                stack.append(candidates(len(stack)))
                 break
             del mapping[v]
             used.discard(w)

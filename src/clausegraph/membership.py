@@ -33,13 +33,12 @@ class FragmentUniverse:
     """Fragments of one host graph, deduplicated up to isomorphism.
 
     Lookup buckets on a cheap isomorphism-invariant signature and resolves
-    within a bucket by exact isomorphism.  Keying fragments by canonical key
-    alone measured no slower (``canonical_key`` costs 1.4-1.6x an
-    ``iso_check`` on 16-36-vertex path fragments, but a key-only universe
-    answered the benchmark's path grid in 1.05 s against 1.5-1.65 s, and its
-    twin grid in the same 2.7-2.9 s, on a 2-core host).  The buckets stay
-    because the benchmark reports this layer through ``iso_check`` and
-    ``invariant_signature``; see ROADMAP item 2.
+    within a bucket by exact isomorphism, which grows a match along edges
+    from the interface.  One pass over the benchmark's twin grid takes
+    0.75 s this way against 2.43 s with a universe keyed by canonical key
+    alone, and one pass over its path grid 0.79 s against 0.86 s (2-core
+    host), because a key refines colours over the whole fragment.  Keys can
+    replace the buckets once they are cheaper; see ROADMAP items 2 and 3.
     """
 
     def __init__(self):

@@ -205,6 +205,22 @@ def test_generate_writes_members(capsys, tmp_path, path_files):
     assert sizes == [2, 3, 4]
 
 
+def test_generate_rejects_negative_cap(capsys, tmp_path, path_files):
+    out_dir = tmp_path / "members"
+    code = dispatch(["generate", "--grammar", path_files["grammar"],
+                     "--params", path_files["params"],
+                     "--cap", "-1", "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--cap: must be non-negative" in captured.err
+    assert captured.out == "" and not out_dir.exists()
+    # a cap of 0 stays legal: the language has no member that small
+    assert dispatch(["generate", "--grammar", path_files["grammar"],
+                     "--params", path_files["params"],
+                     "--cap", "0", "--out", str(out_dir)]) == 0
+    assert "wrote 0 graphs" in capsys.readouterr().out
+
+
 def test_learn_and_replay(capsys, tmp_path):
     out_dir = tmp_path / "run"
     argv = ["learn", "--target", data_path("triangle_grammar.json"),
@@ -319,6 +335,7 @@ def test_learn_check_cap_compares_languages(tmp_path, capsys, stages, agree):
     ("seed", {"seed": [1]}),
     ("target", {"target": 5}),
     ("stages", {"stages": -2}),
+    ("size_cap", {"size_cap": -2, "check_cap": None}),
 ])
 def test_learn_config_rejects_bad_fields(tmp_path, capsys, field, fields):
     cfg = tmp_path / "config.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clausegraph.graphs as graphs_mod
 from clausegraph.graphs import (
     EMPTY_INTERFACE_GRAPH,
     GraphPattern,
@@ -329,6 +330,103 @@ def test_iso_check_of_many_isolated_vertices_needs_no_deep_recursion():
     g = closed(graph_from_parts([(i, "a") for i in range(1100)]))
     renumbered = closed(graph_from_parts([(3 * i + 7, "a") for i in range(1100)]))
     assert iso_check(g, renumbered)
+
+
+def _renumbered(g: GraphWithInterface, rng) -> GraphWithInterface:
+    ids = [3 * i + 5 for i in range(g.graph.n)]
+    rng.shuffle(ids)
+    pi = dict(zip(g.graph.vertices, ids))
+    return GraphWithInterface(
+        LabeledGraph({pi[v]: lab for v, lab in g.graph.vlabel.items()},
+                     {(pi[u], pi[v]): lab for (u, v), lab in g.graph.edges.items()}),
+        tuple(pi[v] for v in g.interface))
+
+
+@st.composite
+def bucket_mates(draw):
+    """A graph of up to 7 vertices (rank 0-3, possibly disconnected) and a
+    renumbered partner that may have one interface vertex moved to a vertex
+    of equal label and degree, or one edge moved."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    n = draw(st.integers(min_value=0, max_value=7))
+    g = random_interface_graph(rng, n, max_rank=3, vlabels=rng.choice([("a",), ("a", "b")]),
+                               edge_prob=rng.random())
+    change = draw(st.sampled_from(["renumbered", "interface moved", "edge moved"]))
+    h = _renumbered(g, rng)
+    graph, iface = h.graph, list(h.interface)
+    if change == "interface moved" and iface:
+        j = rng.randrange(len(iface))
+        same = [v for v in graph.vertices if v not in iface
+                and (graph.vlabel[v], graph.degree(v))
+                == (graph.vlabel[iface[j]], graph.degree(iface[j]))]
+        if same:
+            iface[j] = rng.choice(same)
+    if change == "edge moved":
+        moved = []
+        for old, lab in sorted(graph.edges.items()):
+            rest = {e: elab for e, elab in graph.edges.items() if e != old}
+            moved += [GraphWithInterface(LabeledGraph(graph.vlabel, {**rest, new: lab}), iface)
+                      for new in combinations(graph.vertices, 2) if new not in graph.edges]
+        # prefer a move that keeps the partner in g's signature bucket
+        mates = [m for m in moved if invariant_signature(m) == invariant_signature(g)]
+        if moved:
+            return g, rng.choice(mates or moved), change
+    return g, GraphWithInterface(graph, iface), change
+
+
+@settings(max_examples=300, deadline=None)
+@given(bucket_mates())
+def test_iso_check_matches_brute_iso_on_bucket_mates(pair):
+    g, h, change = pair
+    if change != "edge moved":
+        # the partner lands in g's signature bucket, where iso_check is used
+        assert invariant_signature(g) == invariant_signature(h)
+    assert iso_check(g, h) == brute_iso(g, h)
+    if change == "renumbered":
+        assert iso_check(g, h)
+
+
+def test_iso_check_on_long_paths_grows_from_the_interface(monkeypatch):
+    # fragments that differ only in where their interface vertex sits: the
+    # search walks out from the interface, so a miss costs O(n) checks
+    edge_checks = [0]
+    original = graphs_mod._edges_consistent
+
+    def counting(*args):
+        edge_checks[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(graphs_mod, "_edges_consistent", counting)
+    n = 37
+    rng = random.Random(37)
+
+    def numbered_path():
+        ids = list(range(n))
+        rng.shuffle(ids)  # the i-th vertex along the path is ids[i]
+        return ids, graph_from_parts([(v, "a") for v in ids],
+                                     [(ids[i], ids[i + 1], "e") for i in range(n - 1)])
+
+    a_ids, a_graph = numbered_path()
+    b_ids, b_graph = numbered_path()
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            edge_checks[0] = 0
+            same = iso_check(GraphWithInterface(a_graph, (a_ids[i],)),
+                             GraphWithInterface(b_graph, (b_ids[j],)))
+            assert same == (j in (i, n - 1 - i)), (i, j)
+            assert edge_checks[0] <= 2 * n, (i, j, edge_checks[0])
+
+
+def test_iso_check_prefilter_rejects_before_any_search(monkeypatch):
+    # without the (label, degree) prefilter this pair backtracks factorially;
+    # the first edge check raises, so a search fails fast instead of hanging
+    def searched(*args):
+        raise AssertionError("iso_check searched a pair its prefilter rejects")
+
+    monkeypatch.setattr(graphs_mod, "_edges_consistent", searched)
+    a = closed(graph_from_parts([(i, "a") for i in range(12)]))
+    b = closed(graph_from_parts([(i, "a") for i in range(11)] + [(11, "b")]))
+    assert not iso_check(a, b)
 
 
 def _corpus(seed, count, max_n=7):
