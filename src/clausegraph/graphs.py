@@ -581,21 +581,40 @@ def key_digest(g: GraphLike) -> str:
 # ---------------------------------------------------------------------------
 
 def invariant_signature(g: GraphWithInterface) -> tuple:
-    """Isomorphism-invariant fingerprint; equal keys imply equal signatures."""
+    """Isomorphism-invariant fingerprint; equal keys imply equal signatures.
+    It is the bucket key of ``membership.FragmentUniverse``.
+
+    Rank, n, m, the sorted edge labels, the interface's labels and degrees,
+    and one sorted entry per vertex: its label, its degree and its
+    breadth-first distance to each interface vertex in interface order, -1
+    where unreachable.  Distances from individualised vertices are the
+    textbook cheap vertex invariant (McKay & Piperno, *Practical graph
+    isomorphism II*, 2014).  They separate fragments that differ only in
+    where the interface sits along a path, which labels, degrees and
+    neighbour labels do not.  Cost O(w·(n+m)).
+    """
     graph = g.graph
-    degs = sorted(graph._degrees.values())
+    adj, degrees, vlabel = graph._adj, graph._degrees, graph.vlabel
+    dists = []
+    for s in g.interface:
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:  # breadth-first: the loop reaches what it appends
+            du = dist[u] + 1
+            for x, _ in adj[u]:
+                if x not in dist:
+                    dist[x] = du
+                    queue.append(x)
+        dists.append(dist)
     return (
         g.rank,
         graph.n,
         graph.m,
-        tuple(sorted(graph.vlabel.values())),
         tuple(sorted(graph.edges.values())),
-        tuple(degs),
         g.interface_labels(),
-        tuple(graph.degree(v) for v in g.interface),
-        tuple(sorted(
-            (graph.vlabel[v], tuple(sorted((lab, graph.vlabel[u]) for u, lab in graph.neighbors(v))))
-            for v in graph.vertices)),
+        tuple([degrees[v] for v in g.interface]),
+        tuple(sorted([(vlabel[v], degrees[v], tuple([d.get(v, -1) for d in dists]))
+                      for v in graph.vertices])),
     )
 
 

@@ -32,12 +32,15 @@ from .graphs import (
 class FragmentUniverse:
     """Fragments of one host graph, deduplicated up to isomorphism.
 
-    Lookup buckets on a cheap isomorphism-invariant signature and resolves
-    within a bucket by exact isomorphism, which grows a match along edges
-    from the interface.  One pass over the benchmark's twin grid takes
-    0.75 s this way against 2.43 s with a universe keyed by canonical key
-    alone, and one pass over its path grid 0.79 s against 0.86 s (2-core
-    host), because a key refines colours over the whole fragment.  Keys can
+    Lookup buckets on ``invariant_signature``, which records each vertex's
+    distances to the interface, and resolves within a bucket by exact
+    isomorphism (``iso_check``).  Fragments that differ only in where the
+    interface sits fall into different buckets, so nearly every exact test
+    finds its match: on the benchmark's grids (seed 1) 0 of 2,560 and 8 of
+    11,102 tests fail.  One unscaled pass over the twin grid takes 0.78 s
+    this way against 4.99 s with a universe keyed by canonical key alone,
+    and one pass over the path grid 1.32 s against 1.81 s (2-core host),
+    because a key refines colours over the whole fragment.  Keys can
     replace the buckets once they are cheaper; see ROADMAP items 2 and 3.
     """
 
@@ -47,17 +50,22 @@ class FragmentUniverse:
         self._buckets: dict[tuple, list[int]] = {}
 
     def add(self, g: GraphWithInterface) -> int:
-        idx = self.find(g)
+        bucket = self._buckets.setdefault(invariant_signature(g), [])
+        idx = self.find(g, bucket)
         if idx is not None:
             return idx
         idx = len(self.fragments)
         self.fragments.append(g)
         self.by_labels.setdefault(g.interface_labels(), []).append(idx)
-        self._buckets.setdefault(invariant_signature(g), []).append(idx)
+        bucket.append(idx)
         return idx
 
-    def find(self, g: GraphWithInterface) -> Optional[int]:
-        for idx in self._buckets.get(invariant_signature(g), ()):
+    def find(self, g: GraphWithInterface, bucket: Optional[list] = None) -> Optional[int]:
+        """Index of the fragment isomorphic to ``g``, or None.  ``bucket`` is
+        ``g``'s signature bucket when the caller has already looked it up."""
+        if bucket is None:
+            bucket = self._buckets.get(invariant_signature(g), ())
+        for idx in bucket:
             if iso_check(self.fragments[idx], g):
                 return idx
         return None

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+import clausegraph.membership as membership_mod
+from clausegraph.boundary import brep_for_graph
 from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
@@ -20,7 +24,8 @@ from clausegraph.membership import (
 )
 from clausegraph.teacher import generate_language
 
-from .oracles import TopDownOracle
+from .conftest import random_graph
+from .oracles import TopDownOracle, brute_iso
 
 
 def path_graph(n, labels=None, elabel="e"):
@@ -67,6 +72,48 @@ def test_sub_w_size_bound():
             u = sub_w(g, w)
             bound = sum(n ** r * 2 ** (r * delta) for r in range(w + 1))
             assert len(u) <= bound
+
+
+def _cheap_invariant(f):
+    # an obviously isomorphism-invariant grouping that shares no code with
+    # invariant_signature; it only spares brute_iso pairs it would reject
+    gr = f.graph
+    return (f.interface_labels(), tuple(gr.degree(v) for v in f.interface),
+            tuple(sorted((gr.vlabel[v], tuple(sorted((lab, gr.vlabel[u], gr.degree(u))
+                                                     for u, lab in gr.neighbors(v))))
+                         for v in gr.vertices)))
+
+
+def test_sub_w_keeps_the_first_fragment_of_each_brute_iso_class():
+    rng = random.Random(97)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(0, 7), edge_prob=rng.random())
+        w = rng.randint(0, 2)
+        want, classes = [], {}
+        for rep in brep_for_graph(g, w):
+            f = rep.fragment
+            group = classes.setdefault(_cheap_invariant(f), [])
+            if not any(brute_iso(h, f) for h in group):
+                group.append(f)
+                want.append(f)
+        assert sub_w(g, w).fragments == want, (g.vlabel, g.edges, w)
+
+
+def test_sub_w_on_paths_makes_no_failing_iso_check(monkeypatch):
+    # fragments of a path that differ only in where the interface sits fall
+    # into different signature buckets, so every exact test finds a match
+    verdicts = []
+    original = membership_mod.iso_check
+
+    def counting(a, b):
+        verdicts.append(original(a, b))
+        return verdicts[-1]
+
+    monkeypatch.setattr(membership_mod, "iso_check", counting)
+    for n, w in ((37, 1), (10, 2)):
+        verdicts.clear()
+        sub_w(path_graph(n), w)
+        assert verdicts and all(verdicts), (n, w, verdicts.count(False))
 
 
 def test_universe_find_up_to_iso():
