@@ -181,8 +181,8 @@ def _checked_config(loaded, flags) -> dict:
     for key in ("target", "params", "out"):
         if config[key] is not None and not isinstance(config[key], str):
             raise ValueError(f"config.{key}: expected a path string")
-    for key in ("size_cap", "stages"):
-        if config[key] < 0:
+    for key in ("size_cap", "stages", "check_cap"):
+        if config[key] is not None and config[key] < 0:
             raise ValueError(f"config.{key}: must be non-negative")
     if config["check_cap"] is not None:
         if config["check_cap"] > config["size_cap"]:

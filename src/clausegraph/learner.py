@@ -639,11 +639,11 @@ class Learner:
 
     def observe(self, g: LabeledGraph) -> StageRecord:
         t0 = time.perf_counter()
-        self.stage += 1
         if g.max_degree() > self.params.delta:
             raise ValueError(
                 f"presented graph exceeds the degree bound "
                 f"{self.params.delta}")
+        self.stage += 1
 
         # the interim hypothesis reflects the end of the previous stage; on
         # unchanged state this is the cached previous hypothesis

@@ -1,11 +1,15 @@
-"""Bottom-up membership decision for fixed-interface clause systems.
+"""Bottom-up saturation for fixed-interface clause systems: membership and
+generation.
 
-The engine instantiates clauses over a universe of fragments of the input
-graph: its boundary-attached fragments of rank at most w, plus the whole
-graph with empty interface.  It saturates the derivable (predicate,
-fragment) pairs by semi-naive iteration.  The input graph is a fragment like
-any other, so a graph is a member exactly when the start predicate holds on
-it, and there is no separate match against the goal.
+One semi-naive loop (``saturate``) derives the least set of (predicate,
+fragment) pairs over a universe of fragments.  Membership runs it over a
+fixed universe: the input graph's boundary-attached fragments of rank at
+most w, plus the whole graph with empty interface, and a realized graph
+counts only when it is already in that universe.  The input graph is a
+fragment like any other, so a graph is a member exactly when the start
+predicate holds on it.  Generation (``teacher.generate_language``) runs the
+same loop over a universe that starts empty and grows by every realized
+graph within its bounds.
 
 Provenance is kept for every derived pair, so a successful query can be
 replayed as a derivation tree.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
+from typing import Callable, Optional
 
 from .boundary import brep_for_graph
 from .clauses import Clause, ClauseSystem, ParamTuple, PredicateSymbol
@@ -30,7 +34,8 @@ from .graphs import (
 
 
 class FragmentUniverse:
-    """Fragments of one host graph, deduplicated up to isomorphism.
+    """Fragments deduplicated up to isomorphism: those of one host graph for
+    membership, or the graphs derived so far for generation.
 
     Lookup buckets on ``invariant_signature``, which records each vertex's
     distances to the interface, and resolves within a bucket by exact
@@ -96,9 +101,9 @@ class Provenance:
 @dataclass
 class DerivedAtomSet:
     universe: FragmentUniverse
-    goal: int  # universe index of the whole input graph
     derived: dict = field(default_factory=dict)  # (pred name, frag idx) -> Provenance
     rounds: int = 0
+    goal: Optional[int] = None  # universe index of the whole input graph
 
     def holds(self, pred: str, frag_idx: int) -> bool:
         return (pred, frag_idx) in self.derived
@@ -133,12 +138,6 @@ class _CompiledClause:
         self.labels = {v: next(iter(wanted)) if len(wanted) == 1 else None
                        for v, wanted in star_labels.items()}
 
-    def binding_applies(self, var: str, fragment: GraphWithInterface) -> bool:
-        """A bound graph fits a variable when every star atom over the
-        variable can absorb it: interface labels equal the star's ports."""
-        labels = self.labels[var]
-        return labels is not None and fragment.interface_labels() == labels
-
     def admissible(self, var: str, universe: FragmentUniverse):
         """Universe indices a binding for ``var`` may range over."""
         labels = self.labels[var]
@@ -153,25 +152,24 @@ def _compiled(gamma: ClauseSystem) -> list:
     return cache
 
 
-def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtomSet:
-    """Least set of derivable (predicate, fragment) pairs over ``sub_w(g)``
-    plus ``g`` itself with empty interface.
+def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
+             lookup: Callable[[GraphWithInterface], Optional[int]]) -> DerivedAtomSet:
+    """Least set of (predicate, fragment) pairs derivable over ``universe``.
 
+    ``lookup`` maps a realized clause head to its universe index, or to None
+    when the graph does not count; it may add the graph to the universe.
     Semi-naive: after the first round, a clause instantiation is retried
     only when at least one of its body pairs became derivable in the
     previous round.
     """
-    universe = sub_w(g, w)
-    out = DerivedAtomSet(universe, universe.add(closed(g)))
+    out = DerivedAtomSet(universe)
     compiled = _compiled(gamma)
     facts = [c for c in compiled if not c.vars]
     rules = [c for c in compiled if c.vars]
 
     for c in facts:
         res = realize(c.pattern, {})
-        if res is None:
-            continue
-        idx = universe.find(res)
+        idx = lookup(res) if res is not None else None
         if idx is not None:
             out.derived.setdefault((c.head_pred, idx), Provenance(c.index, {}))
 
@@ -217,7 +215,7 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
                 else:
                     theta = {var: universe[idx] for var, idx in zip(c.vars, combo)}
                     res = realize(c.pattern, theta)
-                    result_idx = universe.find(res) if res is not None else None
+                    result_idx = lookup(res) if res is not None else None
                     realize_memo[key] = result_idx
                 if result_idx is None:
                     continue
@@ -227,6 +225,16 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
                         c.index, {var: idx for var, idx in zip(c.vars, combo)})
                     new_pairs.add(pair)
                     by_pred.setdefault(c.head_pred, []).append(result_idx)
+    return out
+
+
+def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtomSet:
+    """Least set of derivable (predicate, fragment) pairs over ``sub_w(g)``
+    plus ``g`` itself with empty interface."""
+    universe = sub_w(g, w)
+    goal = universe.add(closed(g))
+    out = saturate(gamma, universe, universe.find)
+    out.goal = goal
     return out
 
 

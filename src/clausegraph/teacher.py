@@ -2,25 +2,20 @@
 
 The teacher answers membership queries by running the decision procedure on
 its target system (memoized up to isomorphism) and enumerates the target
-language up to a vertex cap by bottom-up saturation.  Learners talk to it
-only through ``answer`` and the presentation stream; nothing else of the
-target leaks through the interface.
+language up to a vertex cap with the same saturation, run over a universe
+that grows by the graphs it derives.  Learners talk to it only through
+``answer`` and the presentation stream; nothing else of the target leaks
+through the interface.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Optional
 
 from .clauses import ClauseSystem, ParamTuple
-from .graphs import (
-    GraphWithInterface,
-    LabeledGraph,
-    canonical_key,
-    realize,
-)
-from .membership import _CompiledClause, member
+from .graphs import GraphWithInterface, LabeledGraph, canonical_key
+from .membership import FragmentUniverse, member, saturate
 
 
 def generate_language(gamma: ClauseSystem, params: ParamTuple,
@@ -28,53 +23,22 @@ def generate_language(gamma: ClauseSystem, params: ParamTuple,
     """All members of the generated language with at most ``size_cap``
     vertices, ordered by (vertex count, canonical key).
 
-    Saturates per-predicate pools of derived graphs with interface,
-    discarding anything over the cap or the degree bound.  Realization never
-    shrinks below any of its bindings, so every member within the cap is
-    reachable through intermediates within the cap, and deduplication by
-    canonical key keeps the saturation finite.
+    Runs the membership saturation over a universe that starts empty and
+    takes in every realized graph within the cap and the degree bound.
+    Realization never shrinks below any of its bindings, so every member
+    within the cap is reachable through intermediates within the cap, and
+    deduplication up to isomorphism keeps the saturation finite.
     """
-    compiled = [_CompiledClause(cl, i) for i, cl in enumerate(gamma.clauses)]
-    pools: dict[str, dict] = {p.name: {} for p in gamma.predicates}  # key -> graph
+    universe = FragmentUniverse()
 
-    def admit(pred: str, g: GraphWithInterface) -> bool:
+    def within_bounds(g: GraphWithInterface) -> Optional[int]:
         if g.graph.n > size_cap or g.graph.max_degree() > params.delta:
-            return False
-        if g.key in pools[pred]:
-            return False
-        pools[pred][g.key] = g
-        return True
+            return None
+        return universe.add(g)
 
-    for c in compiled:
-        if not c.vars:
-            res = realize(c.pattern, {})
-            if res is not None:
-                admit(c.head_pred, res)
-
-    changed = True
-    while changed:
-        changed = False
-        for c in compiled:
-            if not c.vars:
-                continue
-            candidate_pools = []
-            for var in c.vars:
-                # every body atom over the variable must already derive it
-                first, *others = c.body_preds[var]
-                base = [g for key, g in pools[first].items()
-                        if c.binding_applies(var, g)
-                        and all(key in pools[pred] for pred in others)]
-                if not base:
-                    break
-                candidate_pools.append(base)
-            else:
-                for combo in product(*candidate_pools):
-                    theta = dict(zip(c.vars, combo))
-                    res = realize(c.pattern, theta)
-                    if res is not None and admit(c.head_pred, res):
-                        changed = True
-
-    members = [g for g in pools[gamma.start.name].values() if g.closed]
+    derived = saturate(gamma, universe, within_bounds)
+    # the start predicate has rank 0, so every graph it holds on is closed
+    members = [universe[idx] for idx in derived.by_predicate(gamma.start.name)]
     members.sort(key=lambda g: (g.graph.n, g.key))
     return [g.graph for g in members]
 

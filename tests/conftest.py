@@ -4,7 +4,16 @@ from contextlib import contextmanager
 import pytest
 
 import clausegraph.learner as learner_mod
-from clausegraph.graphs import GraphWithInterface, LabeledGraph
+from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
+from clausegraph.graphs import (
+    EMPTY_INTERFACE_GRAPH,
+    GraphPattern,
+    GraphWithInterface,
+    LabeledGraph,
+    VariableHyperedge,
+    closed,
+    star_pattern,
+)
 
 
 @contextmanager
@@ -27,6 +36,41 @@ def recorded_constructions(with_args: bool = False):
         yield built
     finally:
         learner_mod.construct_gamma = original
+
+
+def rank0_grammar():
+    """p <- r(x) with x of rank 0, and the fact r <- triangle: the start
+    clause binds x to the whole triangle, which only the other rank-0
+    predicate r derives."""
+    p, r = PredicateSymbol("p", 0), PredicateSymbol("r", 0)
+    triangle = LabeledGraph({i: "a" for i in range(3)},
+                            {(0, 1): "e", (1, 2): "e", (0, 2): "e"})
+    gamma = ClauseSystem([p, r], [
+        Clause(Atom(r, GraphPattern(closed(triangle)))),
+        Clause(Atom(p, GraphPattern(EMPTY_INTERFACE_GRAPH, [VariableHyperedge("x", ())])),
+               [Atom(r, star_pattern("x", ()))]),
+    ], start=p)
+    return gamma, ParamTuple(m=2, s=1, t=1, w=0, d=2, delta=2, h_max=3)
+
+
+def two_arm_grammar():
+    """All-``a`` arms of any lengths >= 1 on both sides of one ``b`` vertex.
+    The start clause has two variables, so it joins arms derived in
+    different rounds of the saturation."""
+    p, q = PredicateSymbol("p", 0), PredicateSymbol("q", 1)
+    seed = GraphWithInterface(LabeledGraph({0: "a"}, {}), (0,))
+    grow_base = GraphWithInterface(LabeledGraph({0: "a", 1: "a"}, {(0, 1): "e"}), (0,))
+    join_base = GraphWithInterface(
+        LabeledGraph({0: "a", 1: "b", 2: "a"}, {(0, 1): "e", (1, 2): "e"}), ())
+    gamma = ClauseSystem([p, q], [
+        Clause(Atom(q, GraphPattern(seed))),
+        Clause(Atom(q, GraphPattern(grow_base, [VariableHyperedge("y", (1,))])),
+               [Atom(q, star_pattern("y", ("a",)))]),
+        Clause(Atom(p, GraphPattern(join_base, [VariableHyperedge("x", (0,)),
+                                                VariableHyperedge("z", (2,))])),
+               [Atom(q, star_pattern("x", ("a",))), Atom(q, star_pattern("z", ("a",)))]),
+    ], start=p)
+    return gamma, ParamTuple(m=3, s=2, t=2, w=1, d=2, delta=2, h_max=3)
 
 
 def random_graph(rng: random.Random, n: int, max_degree: int = 3,

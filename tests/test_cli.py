@@ -336,6 +336,7 @@ def test_learn_check_cap_compares_languages(tmp_path, capsys, stages, agree):
     ("target", {"target": 5}),
     ("stages", {"stages": -2}),
     ("size_cap", {"size_cap": -2, "check_cap": None}),
+    ("check_cap", {"check_cap": -1}),
 ])
 def test_learn_config_rejects_bad_fields(tmp_path, capsys, field, fields):
     cfg = tmp_path / "config.json"

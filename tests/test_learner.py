@@ -353,6 +353,18 @@ def test_degree_violation_is_an_error(path_teacher):
         learner.observe(star)
 
 
+def test_rejected_graph_is_not_a_stage(path_teacher):
+    teacher, params = path_teacher
+    learner = Learner(teacher.answer, params)
+    star = graph_from_parts([(i, "a") for i in range(4)],
+                            [(0, i, "e") for i in range(1, 4)])
+    with pytest.raises(ValueError, match="degree"):
+        learner.observe(star)
+    rec = learner.observe(teacher.language[0])
+    assert rec.stage == 1
+    assert [r.stage for r in learner.records] == [1]
+
+
 def test_run_converges_on_path_language(path_teacher):
     teacher, params = path_teacher
     learner = Learner(teacher.answer, params)

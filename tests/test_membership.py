@@ -4,17 +4,14 @@ import pytest
 
 import clausegraph.membership as membership_mod
 from clausegraph.boundary import brep_for_graph
-from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
+from clausegraph.clauses import Atom, Clause, ClauseSystem, PredicateSymbol
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
-    EMPTY_INTERFACE_GRAPH,
     GraphPattern,
     GraphWithInterface,
-    VariableHyperedge,
     closed,
     graph_from_parts,
     iso_check,
-    star_pattern,
 )
 from clausegraph.membership import (
     derive_fixpoint,
@@ -24,7 +21,8 @@ from clausegraph.membership import (
 )
 from clausegraph.teacher import generate_language
 
-from .conftest import random_graph
+from .conftest import random_graph, rank0_grammar, two_arm_grammar
+from .enumeration import all_graphs_upto
 from .oracles import TopDownOracle, brute_iso
 
 
@@ -225,21 +223,24 @@ def test_derivation_tree_replays_to_goal():
 
 
 def test_rank0_variable_binds_the_whole_graph():
-    # p <- r(x) with x of rank 0: the start clause binds x to the whole
-    # triangle, which only the other rank-0 predicate r derives
-    p, r = PredicateSymbol("p", 0), PredicateSymbol("r", 0)
-    gamma = ClauseSystem([p, r], [
-        Clause(Atom(r, GraphPattern(closed(triangle())))),
-        Clause(Atom(p, GraphPattern(EMPTY_INTERFACE_GRAPH, [VariableHyperedge("x", ())])),
-               [Atom(r, star_pattern("x", ()))]),
-    ], start=p)
-    params = ParamTuple(m=2, s=1, t=1, w=0, d=2, delta=2, h_max=3)
+    gamma, params = rank0_grammar()
+    p = gamma.start
     assert TopDownOracle(gamma, delta=params.delta).member(triangle())
     assert [g.n for g in generate_language(gamma, params, 6)] == [3]
     ok, tree = member(gamma, p, triangle(), params, want_tree=True)
     assert ok
     assert iso_check(tree.replay(gamma), closed(triangle()))
     assert not member(gamma, p, path_graph(3), params)
+
+
+def test_two_variable_clause_matches_oracle():
+    # the join binds arms derived in different rounds of the saturation
+    gamma, params = two_arm_grammar()
+    oracle = TopDownOracle(gamma, delta=params.delta)
+    verdicts = [(member(gamma, gamma.start, g, params), oracle.member(g))
+                for g in all_graphs_upto(6, ("a", "b"), max_degree=params.delta)]
+    assert all(got == want for got, want in verdicts)
+    assert sum(want for _, want in verdicts) == 6
 
 
 def test_tree_formatting_mentions_clauses():

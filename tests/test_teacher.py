@@ -1,9 +1,16 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import closed, graph_from_parts, iso_check
 from clausegraph.membership import member
 from clausegraph.teacher import Presentation, Teacher, generate_language
+
+from .conftest import rank0_grammar, two_arm_grammar
+from .enumeration import all_graphs_upto
+from .oracles import TopDownOracle
 
 
 def path_graph(n, labels=None):
@@ -43,6 +50,47 @@ def test_twin_language_at_cap_6():
     assert sizes == [2, 2, 3, 4, 4, 5, 6, 6]
     for g in members:
         assert member(gamma, gamma.start, g, params)
+
+
+def path_grammar_delta1():
+    # only the 2-vertex path stays within the degree bound
+    gamma, params = path_grammar()
+    return gamma, dataclasses.replace(params, delta=1)
+
+
+@pytest.mark.parametrize("builder, vlabels, cap", [
+    (path_grammar, ("a",), 8),
+    (twin_grammar, ("a", "b"), 7),
+    (triangle_grammar, ("a",), 8),
+    (rank0_grammar, ("a",), 7),
+    (path_grammar_delta1, ("a",), 6),
+    (two_arm_grammar, ("a", "b"), 7),
+])
+def test_generation_equals_filtered_exhaustive_corpus(builder, vlabels, cap):
+    # the corpus and the top-down derivation search share no code with the
+    # saturation that generation and membership both run
+    gamma, params = builder()
+    oracle = TopDownOracle(gamma, delta=params.delta)
+    want = {closed(g).key for g in all_graphs_upto(cap, vlabels, max_degree=params.delta)
+            if oracle.member(g)}
+    generated = [closed(g).key for g in generate_language(gamma, params, cap)]
+    assert len(set(generated)) == len(generated)
+    assert set(generated) == want
+
+
+@pytest.mark.parametrize("builder, count, digest", [
+    (path_grammar, 9, "b13494e84d959f2644dfa8a0f6cea51e453fbb2c20c097e14c1b19c0ad8d1c5b"),
+    (twin_grammar, 14, "3b46ddc28a299cb73fe9bf797044f599a6172812d0638b0d72fc17ecd2dfe9dd"),
+    (triangle_grammar, 1, "e0c40bca6f7f6c39807d7c22c9aa3cdcead1001edb1e25bf23e00eae0f1601bb"),
+])
+def test_generated_representatives_are_pinned(builder, count, digest):
+    # the benchmark's learn workloads renumber these exact graphs, and a
+    # graph's numbering moves its learning time
+    gamma, params = builder()
+    members = generate_language(gamma, params, 10)
+    blob = repr([(sorted(g.vlabel.items()), sorted(g.edges.items())) for g in members])
+    assert len(members) == count
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_generated_members_are_oracle_positive():
