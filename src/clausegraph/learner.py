@@ -11,8 +11,12 @@ admitting exactly those that survive membership-query tests against residual
 substitutions; a stage that changes none of them keeps the last hypothesis.
 A rebuild reuses what a growing residual cannot change: the candidates while
 the basis and the alphabets stay, the realizations of residual classes, and
-the clause system while the admitted set stays.  Every oracle query is still
-asked, so the stage counters are those of a rebuild from scratch.
+the clause system while the admitted set stays.  Candidates that share a head
+shape and a body and differ only in their head class are admitted together:
+their families are walked and realized once, and a body that no family can
+realize is settled by counting alone.  Every oracle query is still asked, so
+the stage counters are those of a rebuild from scratch, one candidate at a
+time.
 
 Representations with isomorphic fragments are collapsed into one class:
 every admission test depends on a representation only through its fragment,
@@ -30,6 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations, product
+from math import prod
 from typing import Callable, Optional, Sequence
 
 from .boundary import brep_for_graph
@@ -364,11 +369,18 @@ class _AdmissionMemo:
 
     def candidates(self, basis: Sequence[RepClass], params: ParamTuple,
                    vlabels: tuple, elabels: tuple):
-        """``enumerate_candidates``, reused while its inputs are unchanged."""
+        """``enumerate_candidates`` and the candidates' indices grouped by
+        (head shape, body), in order of first appearance; reused while the
+        inputs are unchanged."""
         key = (tuple(c.key for c in basis), params, vlabels, elabels)
         if self._candidates is None or self._candidates[0] != key:
-            self._candidates = (key, *enumerate_candidates(
-                basis, params, vlabels, elabels))
+            candidates, shape_constant = enumerate_candidates(
+                basis, params, vlabels, elabels)
+            groups: dict = {}
+            for i, cand in enumerate(candidates):
+                groups.setdefault((cand.shape.pattern.key, cand.body), []).append(i)
+            self._candidates = (key, candidates, shape_constant,
+                                list(groups.values()))
         return self._candidates[1:]
 
     def system(self, basis: Sequence[RepClass], admitted) -> ClauseSystem:
@@ -396,30 +408,59 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
     some residual family with all-positive body cells realizes to a defined
     graph whose head composition is undefined or oracle-negative.
     """
+    return admit_group([cand], table, oracle, memo, counter)[0]
+
+
+def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
+                oracle: Callable[[LabeledGraph], bool],
+                memo: Optional[_AdmissionMemo] = None,
+                counter: Optional[Counter] = None) -> list:
+    """``admit_clause`` for candidates that share a head shape and a body and
+    differ only in their head class, one verdict per candidate.
+
+    The families and their realizations depend only on the shared part, so
+    each family is walked and realized once for the whole group, and each
+    head keeps its own early stop: every candidate asks the same (head,
+    realized) queries and counts the same families as on its own.  A body
+    class whose interface labels differ from its port labels makes the body
+    dead: every column of that class's row carries the row's labels, since
+    composition checks them, so no family realizes and every head is
+    admitted after all its families, without realizing any.
+    """
     memo = memo if memo is not None else _AdmissionMemo()
     counter = counter if counter is not None else Counter()
-    if cand.is_fact:
-        composed = compose(cand.head.fragment, cand.shape.pattern.as_interface_graph())
-        if composed is None:
-            return False
-        counter["fact_queries"] += 1
-        return oracle(composed)
+    first = group[0]
+    if first.is_fact:
+        ground = first.shape.pattern.as_interface_graph()
+        verdicts = []
+        for cand in group:
+            composed = compose(cand.head.fragment, ground)
+            if composed is not None:
+                counter["fact_queries"] += 1
+            verdicts.append(composed is not None and oracle(composed))
+        return verdicts
 
-    variables = sorted({var for var, _, _ in cand.body})
+    admitted = [True] * len(group)
+    variables = sorted({var for var, _, _ in first.body})
     per_var_cols = []
     for var in variables:
-        rows = [table.row_of.get(cls.key) for v, _, cls in cand.body if v == var]
+        rows = [table.row_of.get(cls.key) for v, _, cls in first.body if v == var]
         if None in rows:
-            return True  # body predicate outside the table: no family exists
+            return admitted  # body predicate outside the table: no family exists
         cols = frozenset.intersection(*(table.true_cols[ri] for ri in rows))
         if not cols:
-            return True  # vacuous admission: no all-positive family
+            return admitted  # vacuous admission: no all-positive family
         per_var_cols.append(sorted(cols))
+    if any(cls.fragment.interface_labels() != labels
+           for _, labels, cls in first.body):
+        counter["families"] += len(group) * prod(map(len, per_var_cols))
+        return admitted
 
-    shape_id = cand.shape.pattern.key
+    shape_id = first.shape.pattern.key
     cols = table.cols
+    alive = list(range(len(group)))
     for family in product(*per_var_cols):
-        counter["families"] += 1
+        counter["families"] += len(alive)
         # residual classes, not column indices: a class keeps its object for
         # the learner's life while its column shifts as the residual grows
         classes = tuple(cols[ci] for ci in family)
@@ -428,7 +469,7 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
             realized_id = memo.realize_memo[rkey]
         else:
             theta = {var: cls.fragment for var, cls in zip(variables, classes)}
-            realized = realize(cand.shape.pattern, theta)
+            realized = realize(first.shape.pattern, theta)
             if realized is None:
                 realized_id = None
             else:
@@ -437,21 +478,24 @@ def admit_clause(cand: ClauseCandidate, table: ObservationTable,
             memo.realize_memo[rkey] = realized_id
         if realized_id is None:
             continue
-        hkey = (cand.head.key, realized_id)
-        if hkey in memo.head_memo:
-            verdict = memo.head_memo[hkey]
-        else:
-            realized = memo.realized[realized_id]
-            composed = compose(cand.head.fragment, realized)
-            if composed is None:
-                verdict = False  # undefined head composition reads as negative
+        for i in alive:
+            head = group[i].head
+            hkey = (head.key, realized_id)
+            if hkey in memo.head_memo:
+                verdict = memo.head_memo[hkey]
             else:
-                counter["admission_queries"] += 1
-                verdict = oracle(composed)
-            memo.head_memo[hkey] = verdict
-        if not verdict:
-            return False
-    return True
+                composed = compose(head.fragment, memo.realized[realized_id])
+                if composed is None:
+                    verdict = False  # undefined head composition reads as negative
+                else:
+                    counter["admission_queries"] += 1
+                    verdict = oracle(composed)
+                memo.head_memo[hkey] = verdict
+            admitted[i] = verdict
+        alive = [i for i in alive if admitted[i]]
+        if not alive:
+            break
+    return admitted
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +529,17 @@ def construct_gamma(basis: Sequence[RepClass], residual: Sequence[RepClass],
     memo.head_memo = {}
     basis = with_empty_class(basis)
     table = ObservationTable(basis, residual, oracle)
-    candidates, shape_constant = memo.candidates(basis, params, vlabels, elabels)
+    candidates, shape_constant, groups = memo.candidates(
+        basis, params, vlabels, elabels)
     counter: Counter = Counter()
-    admitted, rejected = [], []
-    for cand in candidates:
-        (admitted if admit_clause(cand, table, oracle, memo, counter)
-         else rejected).append(cand)
+    verdicts = [False] * len(candidates)
+    for group in groups:
+        shared = admit_group([candidates[i] for i in group], table, oracle,
+                             memo, counter)
+        for i, verdict in zip(group, shared):
+            verdicts[i] = verdict
+    admitted = [c for c, ok in zip(candidates, verdicts) if ok]
+    rejected = [c for c, ok in zip(candidates, verdicts) if not ok]
     gamma = memo.system(basis, admitted)
     facts = sum(cand.is_fact for cand in candidates)
     counters = {

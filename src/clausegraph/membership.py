@@ -9,7 +9,9 @@ counts only when it is already in that universe.  The input graph is a
 fragment like any other, so a graph is a member exactly when the start
 predicate holds on it.  Generation (``teacher.generate_language``) runs the
 same loop over a universe that starts empty and grows by every realized
-graph within its bounds.
+graph within its bounds.  The loop runs over groups of rules that share a
+head pattern and their variables' pools and differ only in the head
+predicate, so a binding is realized once for the whole group.
 
 Provenance is kept for every derived pair, so a successful query can be
 replayed as a derivation tree.
@@ -113,11 +115,10 @@ class DerivedAtomSet:
 
 
 class _CompiledClause:
-    """Per-clause data the fixpoint loop needs: distinct variables, the
-    interface labels a binding of each variable must carry, and the body
-    predicates grouped per variable."""
+    """Per-clause data the fixpoint loop needs: distinct variables, the body
+    predicates grouped per variable, and each variable's pool key."""
 
-    __slots__ = ("index", "head_pred", "pattern", "vars", "body_preds", "labels")
+    __slots__ = ("index", "head_pred", "pattern", "vars", "body_preds", "pool_keys")
 
     def __init__(self, clause: Clause, index: int):
         self.index = index
@@ -132,16 +133,15 @@ class _CompiledClause:
                 tuple(atom.pattern.base.graph.vlabel[p] for p in h.ports))
             body_preds[h.label].append(atom.predicate.name)
         self.body_preds = body_preds
-        # per variable: the port labels of its stars, or None when the
-        # clause's stars disagree and nothing can ever bind (a fixed-interface
-        # clause gives every variable at least one star)
-        self.labels = {v: next(iter(wanted)) if len(wanted) == 1 else None
-                       for v, wanted in star_labels.items()}
-
-    def admissible(self, var: str, universe: FragmentUniverse):
-        """Universe indices a binding for ``var`` may range over."""
-        labels = self.labels[var]
-        return () if labels is None else universe.by_labels.get(labels, ())
+        # per variable: (the port labels of its stars, its sorted distinct
+        # body predicates); None when some variable's stars disagree, so
+        # nothing can ever bind it (a fixed-interface clause gives every
+        # variable at least one star)
+        self.pool_keys = None
+        if all(len(wanted) == 1 for wanted in star_labels.values()):
+            self.pool_keys = tuple((next(iter(star_labels[v])),
+                                    tuple(sorted(set(body_preds[v]))))
+                                   for v in self.vars)
 
 
 def _compiled(gamma: ClauseSystem) -> list:
@@ -152,20 +152,60 @@ def _compiled(gamma: ClauseSystem) -> list:
     return cache
 
 
+class _RuleGroup:
+    """Rules that share a head pattern (equal as structures, as the heads
+    of clauses built from one learner candidate shape are) and their
+    variables' pool keys, so they differ only in their head predicate: one
+    binding realizes the same graph for all of them."""
+
+    __slots__ = ("pattern", "vars", "pool_keys", "members")
+
+    def __init__(self, rule: _CompiledClause):
+        self.pattern = rule.pattern
+        self.vars = rule.vars
+        self.pool_keys = rule.pool_keys
+        self.members = []  # (head predicate, clause index), in clause order
+
+
+def _rule_groups(gamma: ClauseSystem) -> tuple:
+    """The facts, the rule groups in order of their first clause, and an
+    index from pool key to the groups that use it; cached on ``gamma``."""
+    cache = getattr(gamma, "_rule_groups", None)
+    if cache is None:
+        facts, groups = [], {}
+        for c in _compiled(gamma):
+            if not c.vars:
+                facts.append(c)
+            elif c.pool_keys is not None:
+                key = (c.pattern, c.pool_keys)
+                if key not in groups:
+                    groups[key] = _RuleGroup(c)
+                groups[key].members.append((c.head_pred, c.index))
+        groups = list(groups.values())
+        by_pool_key: dict = {}
+        for gi, group in enumerate(groups):
+            for pk in set(group.pool_keys):
+                by_pool_key.setdefault(pk, []).append(gi)
+        cache = gamma._rule_groups = (facts, groups, by_pool_key)
+    return cache
+
+
 def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
              lookup: Callable[[GraphWithInterface], Optional[int]]) -> DerivedAtomSet:
     """Least set of (predicate, fragment) pairs derivable over ``universe``.
 
     ``lookup`` maps a realized clause head to its universe index, or to None
     when the graph does not count; it may add the graph to the universe.
-    Semi-naive: after the first round, a clause instantiation is retried
-    only when at least one of its body pairs became derivable in the
-    previous round.
+    Semi-naive over rule groups (Bancilhon & Ramakrishnan, 1986): each round
+    computes every pool it needs once, from the pairs derived before the
+    round, and visits only the groups whose pools are all non-empty and one
+    of which meets the previous round's new pairs.  A binding is tried in
+    one round only, the first in which all its indices are in their pools,
+    so it is realized once, and every member's head predicate is derived
+    from that realization.
     """
     out = DerivedAtomSet(universe)
-    compiled = _compiled(gamma)
-    facts = [c for c in compiled if not c.vars]
-    rules = [c for c in compiled if c.vars]
+    facts, groups, by_pool_key = _rule_groups(gamma)
 
     for c in facts:
         res = realize(c.pattern, {})
@@ -173,58 +213,62 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
         if idx is not None:
             out.derived.setdefault((c.head_pred, idx), Provenance(c.index, {}))
 
-    realize_memo: dict = {}
     new_pairs = set(out.derived)
-    by_pred: dict[str, list[int]] = {}
+    by_pred: dict[str, set] = {}
     for pred, idx in out.derived:
-        by_pred.setdefault(pred, []).append(idx)
+        by_pred.setdefault(pred, set()).add(idx)
 
     while new_pairs:
         out.rounds += 1
-        frontier_pairs = new_pairs
         frontier_by_pred: dict[str, set] = {}
-        for pred, idx in frontier_pairs:
+        for pred, idx in new_pairs:
             frontier_by_pred.setdefault(pred, set()).add(idx)
         new_pairs = set()
-        for c in rules:
-            candidates = []
-            feasible = True
-            for var in c.vars:
-                # a variable bound by several body atoms needs every one derived
-                pool = set(c.admissible(var, universe))
-                for pred in c.body_preds[var]:
-                    pool.intersection_update(by_pred.get(pred, ()))
-                if not pool:
-                    feasible = False
-                    break
-                candidates.append(sorted(pool))
-            if not feasible:
+        # pools and frontiers are snapshots: a pair derived in this round
+        # joins them in the next, when it is in the frontier
+        pools: dict = {}
+        frontiers: dict = {}
+
+        def pool(pk) -> list:
+            if pk not in pools:
+                labels, preds = pk
+                have = set(universe.by_labels.get(labels, ()))
+                fresh = set()
+                for pred in preds:
+                    have.intersection_update(by_pred.get(pred, ()))
+                    fresh |= frontier_by_pred.get(pred, set())
+                pools[pk] = sorted(have)
+                frontiers[pk] = have & fresh
+            return pools[pk]
+
+        touched = set()
+        for pk, gis in by_pool_key.items():
+            if any(pred in frontier_by_pred for pred in pk[1]):
+                pool(pk)
+                if frontiers[pk]:
+                    touched.update(gis)
+        for gi in sorted(touched):
+            group = groups[gi]
+            candidates = [pool(pk) for pk in group.pool_keys]
+            if not all(candidates):
                 continue
-            frontier_sets = []
-            for var in c.vars:
-                fs = set()
-                for pred in c.body_preds[var]:
-                    fs |= frontier_by_pred.get(pred, set())
-                frontier_sets.append(fs)
+            frontier_sets = [frontiers[pk] for pk in group.pool_keys]
             for combo in product(*candidates):
                 if not any(idx in frontier_sets[i] for i, idx in enumerate(combo)):
                     continue
-                key = (c.index, combo)
-                if key in realize_memo:
-                    result_idx = realize_memo[key]
-                else:
-                    theta = {var: universe[idx] for var, idx in zip(c.vars, combo)}
-                    res = realize(c.pattern, theta)
-                    result_idx = lookup(res) if res is not None else None
-                    realize_memo[key] = result_idx
+                theta = {var: universe[idx] for var, idx in zip(group.vars, combo)}
+                res = realize(group.pattern, theta)
+                result_idx = lookup(res) if res is not None else None
                 if result_idx is None:
                     continue
-                pair = (c.head_pred, result_idx)
-                if pair not in out.derived:
-                    out.derived[pair] = Provenance(
-                        c.index, {var: idx for var, idx in zip(c.vars, combo)})
-                    new_pairs.add(pair)
-                    by_pred.setdefault(c.head_pred, []).append(result_idx)
+                for head_pred, clause_index in group.members:
+                    pair = (head_pred, result_idx)
+                    if pair not in out.derived:
+                        out.derived[pair] = Provenance(
+                            clause_index, dict(zip(group.vars, combo)))
+                        new_pairs.add(pair)
+        for pred, idx in new_pairs:
+            by_pred.setdefault(pred, set()).add(idx)
     return out
 
 

@@ -1,5 +1,6 @@
 import random
 from contextlib import contextmanager
+from functools import lru_cache
 
 import pytest
 
@@ -14,6 +15,7 @@ from clausegraph.graphs import (
     closed,
     star_pattern,
 )
+from clausegraph.teacher import Teacher
 
 
 @contextmanager
@@ -36,6 +38,17 @@ def recorded_constructions(with_args: bool = False):
         yield built
     finally:
         learner_mod.construct_gamma = original
+
+
+@lru_cache(maxsize=None)
+def learned_hypothesis(builder, cap: int):
+    """The hypothesis and params after the target's language is presented
+    twice at ``cap``, in the teacher's order; built once per session."""
+    gamma, params = builder()
+    teacher = Teacher(gamma, params, size_cap=cap)
+    learner = learner_mod.Learner(teacher.answer, params)
+    learner.run(teacher.presentation(), 2 * len(teacher.language))
+    return learner.hypothesis, params
 
 
 def rank0_grammar():

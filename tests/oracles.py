@@ -3,18 +3,25 @@
 Everything here deliberately avoids the library's own search logic: the iso
 oracle enumerates all vertex bijections, the boundary oracle re-derives
 fragments from first principles, and the membership oracle is a memoized
-top-down derivation search.  Keeping these routes separate from the code
-under test is what gives the equivalence checks their teeth.
+top-down derivation search.  The admission and saturation references walk
+one candidate and one clause at a time, where the library shares that work
+across candidates and clauses with a common body.  Keeping these routes
+separate from the code under test is what gives the equivalence checks
+their teeth.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
+from typing import NamedTuple
 
 from clausegraph.graphs import (
     GraphPattern,
     GraphWithInterface,
     LabeledGraph,
+    canonical_key,
+    compose,
+    realize,
 )
 
 
@@ -499,3 +506,122 @@ def _edge_choices(ambiguous):
     for rest in _edge_choices(ambiguous[1:]):
         for chosen in subsets:
             yield [(e, lab, chosen)] + rest
+
+
+# ---------------------------------------------------------------------------
+# one-at-a-time admission and saturation
+# ---------------------------------------------------------------------------
+
+class AdmissionRecord(NamedTuple):
+    """What the one-by-one admission reference saw for one candidate: its
+    verdict, the families it walked and the set of (head, realized) queries
+    it sent."""
+
+    verdict: bool
+    families: int
+    queries: frozenset
+
+
+def admit_each(candidates, table, oracle):
+    """Admit every candidate on its own, family by family in product order,
+    stopping at its first negative family.  Returns one ``AdmissionRecord``
+    per candidate and the construction's totals (``fact_queries``,
+    ``admission_queries`` with each (head, realized) pair asked once,
+    ``families``)."""
+    records = []
+    asked, realized = {}, {}
+    totals = {"fact_queries": 0, "admission_queries": 0, "families": 0}
+    for cand in candidates:
+        if not cand.body:
+            composed = compose(cand.head.fragment,
+                               cand.shape.pattern.as_interface_graph())
+            if composed is not None:
+                totals["fact_queries"] += 1
+            records.append(AdmissionRecord(
+                composed is not None and oracle(composed), 0, frozenset()))
+            continue
+        variables = sorted({var for var, _, _ in cand.body})
+        per_var = []
+        for var in variables:
+            rows = [table.row_of.get(cls.key) for v, _, cls in cand.body if v == var]
+            cols = set(range(len(table.cols)))
+            for ri in rows:
+                cols &= table.true_cols[ri] if ri is not None else set()
+            per_var.append(sorted(cols))
+        verdict, families, mine = True, 0, set()
+        for family in product(*per_var):
+            families += 1
+            rkey = (cand.shape.pattern.key, family)
+            if rkey not in realized:
+                theta = {var: table.cols[ci].fragment
+                         for var, ci in zip(variables, family)}
+                graph = realize(cand.shape.pattern, theta)
+                realized[rkey] = graph, None if graph is None else canonical_key(graph)
+            graph, graph_key = realized[rkey]
+            if graph is None:
+                continue
+            composed = compose(cand.head.fragment, graph)
+            if composed is None:
+                verdict = False
+                break
+            pair = (cand.head.key, graph_key)
+            mine.add(pair)
+            if pair not in asked:
+                asked[pair] = oracle(composed)
+            if not asked[pair]:
+                verdict = False
+                break
+        totals["families"] += families
+        records.append(AdmissionRecord(verdict, families, frozenset(mine)))
+    totals["admission_queries"] = len(asked)
+    return records, totals
+
+
+def saturate_each(gamma, universe, lookup) -> dict:
+    """Semi-naive least fixpoint, one clause at a time: every round visits
+    every rule, rebuilds each variable's pool from the pairs derived so far
+    (including those of the current round) and retries a binding only when
+    one of its indices was derived in the previous round.  Returns the
+    derived (predicate, universe index) pairs, each with the index of the
+    clause that first derived it."""
+    facts, rules = [], []
+    for index, cl in enumerate(gamma.clauses):
+        variables = sorted(cl.variables())
+        stars = {var: [] for var in variables}
+        for atom in cl.body:
+            star = atom.pattern.hyperedges[0]
+            stars[star.label].append((atom.pattern.base.interface_labels(),
+                                      atom.predicate.name))
+        rule = (index, cl.head.predicate.name, cl.head.pattern, variables, stars)
+        (rules if variables else facts).append(rule)
+    derived = {}
+    for index, head, pattern, _, _ in facts:
+        res = realize(pattern, {})
+        idx = lookup(res) if res is not None else None
+        if idx is not None:
+            derived.setdefault((head, idx), index)
+    new = set(derived)
+    while new:
+        frontier, new = new, set()
+        for index, head, pattern, variables, stars in rules:
+            pools, fresh = [], []
+            for var in variables:
+                wanted = {labels for labels, _ in stars[var]}
+                pool = []
+                if len(wanted) == 1:  # stars that disagree bind nothing
+                    pool = [idx for idx in universe.by_labels.get(wanted.pop(), ())
+                            if all((pred, idx) in derived for _, pred in stars[var])]
+                pools.append(pool)
+                fresh.append({idx for idx in pools[-1]
+                              if any((pred, idx) in frontier
+                                     for _, pred in stars[var])})
+            for combo in product(*pools):
+                if not any(idx in f for idx, f in zip(combo, fresh)):
+                    continue
+                theta = {var: universe[i] for var, i in zip(variables, combo)}
+                res = realize(pattern, theta)
+                idx = lookup(res) if res is not None else None
+                if idx is not None and (head, idx) not in derived:
+                    derived[(head, idx)] = index
+                    new.add((head, idx))
+    return derived

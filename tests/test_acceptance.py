@@ -5,6 +5,7 @@ printed summaries).  Expensive corpora and convergence runs are shared
 through session fixtures.
 """
 
+import gc
 import math
 import random
 import statistics
@@ -38,7 +39,7 @@ from clausegraph.membership import member
 from clausegraph.teacher import Teacher, generate_language
 
 from .conftest import (random_connected_graph, random_interface_graph,
-                       recorded_constructions)
+                       rank0_grammar, recorded_constructions)
 from .enumeration import all_graphs_upto
 from .oracles import TopDownOracle, brute_iso, naive_boundary_specs
 
@@ -49,6 +50,7 @@ TARGETS = {
     "path": (path_grammar, ("a",)),
     "triangle": (triangle_grammar, ("a",)),
     "twin": (twin_grammar, ("a", "b")),
+    "rank0": (rank0_grammar, ("a",)),
 }
 
 
@@ -185,9 +187,18 @@ def test_criterion_2_fragment_determinism_and_linear_time():
 
 
 def _timed(fn, *args):
-    t0 = time.perf_counter()
-    fn(*args)
-    return time.perf_counter() - t0
+    """Seconds one call takes, with the garbage collector paused: a
+    collection that earlier allocations trigger would otherwise land in
+    whichever call happens to run then."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - t0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

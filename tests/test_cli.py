@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import clausegraph
 from clausegraph.cli import dispatch
 from clausegraph.clauses import ParamTuple
 from clausegraph.formats import (
@@ -15,6 +19,7 @@ from clausegraph.formats import (
 )
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import closed, graph_from_parts
+from clausegraph.teacher import generate_language
 
 
 def data_path(name: str) -> str:
@@ -357,3 +362,36 @@ def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
                      "--cap", "3", "--out", str(tmp_path / "flag_out")])
     assert code == 0
     assert list(target.glob("member_*.json"))
+
+
+def _cli(argv, hash_seed: str):
+    """Run the command line in a fresh interpreter under ``PYTHONHASHSEED``."""
+    env = {k: v for k, v in os.environ.items() if k != "CLAUSEGRAPH_OUT"}
+    src = str(Path(clausegraph.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, "-m", "clausegraph.cli", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """``learn`` writes the same trace and stage files, and ``member --tree``
+    prints the same trees, whatever order sets and dicts of strings take."""
+    gamma, params = twin_grammar()
+    graphs = generate_language(gamma, params, 6) + [
+        graph_from_parts([(0, "a"), (1, "b"), (2, "b")], [(0, 1, "e"), (1, 2, "e")])]
+    graph_file = tmp_path / "graphs.json"
+    dump_graphs([closed(g) for g in graphs], graph_file)
+    runs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"learn_{hash_seed}"
+        learned = _cli(["learn", "--target", data_path("twin_grammar.json"),
+                        "--params", data_path("twin_params.json"), "--cap", "3",
+                        "--stages", "6", "--seed", "2", "--out", str(out)], hash_seed)
+        trees = _cli(["member", "--grammar", data_path("twin_grammar.json"),
+                      "--graph", str(graph_file),
+                      "--params", data_path("twin_params.json"), "--tree"], hash_seed)
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        runs.append((learned.stdout.replace(str(out), "OUT"), files, trees.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == 7 and runs[0][2].count("YES") == len(graphs) - 1

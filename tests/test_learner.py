@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from clausegraph.learner import (
     ObservationTable,
     RepClass,
     admit_clause,
+    admit_group,
     candidate_key,
     collapse_reps,
     construct_gamma,
@@ -32,7 +34,8 @@ from clausegraph.boundary import enumerate_brep
 from clausegraph.membership import member
 from clausegraph.teacher import Teacher
 
-from .conftest import recorded_constructions
+from .conftest import recorded_constructions, two_arm_grammar
+from .oracles import admit_each
 
 
 def path(n, labels=None):
@@ -571,3 +574,73 @@ def test_stage_summaries_are_pinned(builder, cap, stages, want):
     for rec in learner.run(teacher.presentation(seed=2), stages):
         digest.update(json.dumps(rec.summary(), sort_keys=True).encode())
     assert digest.hexdigest() == want
+
+
+# ---------------------------------------------------------------------------
+# admission shared across candidates with one body
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("builder,cap,stages", [
+    (path_grammar, 5, 8), (twin_grammar, 4, 8), (two_arm_grammar, 3, 2)])
+def test_grouped_admission_matches_one_by_one(builder, cap, stages):
+    """Every candidate of every construction gets the verdict the
+    one-candidate-at-a-time reference gives it; every group of candidates
+    that share a body walks the families and sends the new queries its
+    members do on their own; the construction's counters are the
+    reference's totals."""
+    gamma, params = builder()
+    teacher = Teacher(gamma, params, size_cap=cap)
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions() as built:
+        learner.run(teacher.presentation(seed=2), stages)
+    assert len(built) >= 2
+    for cons in built:
+        # candidates come in key order, so this is the construction's list
+        candidates = sorted(cons.admitted + cons.rejected, key=lambda c: c.key)
+        records, totals = admit_each(candidates, cons.table, teacher.answer)
+        assert [c.key for c, r in zip(candidates, records) if r.verdict] == \
+            [c.key for c in cons.admitted]
+        assert totals.items() <= cons.counters.items()
+        groups: dict = {}
+        for cand, rec in zip(candidates, records):
+            key = (cand.shape.pattern.key, cand.body)
+            groups.setdefault(key, []).append((cand, rec))
+        memo, asked = learner_mod._AdmissionMemo(), set()
+        for members in groups.values():
+            counter = Counter()
+            verdicts = admit_group([c for c, _ in members], cons.table,
+                                   teacher.answer, memo, counter)
+            assert verdicts == [r.verdict for _, r in members]
+            assert counter["families"] == sum(r.families for _, r in members)
+            # a query is sent once per construction, by the first group to need it
+            new = frozenset().union(*(r.queries for _, r in members)) - asked
+            assert counter["admission_queries"] == len(new)
+            asked |= new
+
+
+def test_dead_body_admits_every_family_without_realizing(monkeypatch):
+    """A body class whose interface labels differ from its port labels
+    leaves no family that can realize: every head is admitted, every family
+    is counted and ``realize`` is never called."""
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=4)
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions() as built:
+        learner.run(teacher.presentation(seed=2), 4)
+    cons = built[-1]
+    candidates = cons.admitted + cons.rejected
+    records, _ = admit_each(candidates, cons.table, teacher.answer)
+    dead = [(c, r) for c, r in zip(candidates, records)
+            if r.families and any(cls.fragment.interface_labels() != labels
+                                  for _, labels, cls in c.body)]
+    assert len(dead) >= 10
+
+    def no_realize(*args):
+        raise AssertionError("a dead body was realized")
+
+    monkeypatch.setattr(learner_mod, "realize", no_realize)
+    for cand, rec in dead:
+        counter = Counter()
+        assert admit_clause(cand, cons.table, teacher.answer, counter=counter)
+        assert rec.verdict and counter["families"] == rec.families
+        assert counter["admission_queries"] == 0 and not rec.queries

@@ -17,13 +17,15 @@ from clausegraph.membership import (
     derive_fixpoint,
     format_tree,
     member,
+    saturate,
     sub_w,
 )
 from clausegraph.teacher import generate_language
 
-from .conftest import random_graph, rank0_grammar, two_arm_grammar
+from .conftest import (learned_hypothesis, random_graph, rank0_grammar,
+                       two_arm_grammar)
 from .enumeration import all_graphs_upto
-from .oracles import TopDownOracle, brute_iso
+from .oracles import TopDownOracle, brute_iso, saturate_each
 
 
 def path_graph(n, labels=None, elabel="e"):
@@ -290,3 +292,25 @@ def test_member_agrees_with_topdown_oracle(builder):
         want = oracle.member(g)
         got = member(gamma, gamma.start, g, params)
         assert got == want, f"{builder.__name__} disagrees on n={g.n}, m={g.m}"
+
+
+# ---------------------------------------------------------------------------
+# saturation over rule groups against the one-clause-at-a-time reference
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("builder", [
+    path_grammar, triangle_grammar, twin_grammar, rank0_grammar, two_arm_grammar,
+    lambda: learned_hypothesis(twin_grammar, 5),
+    lambda: learned_hypothesis(path_grammar, 5),
+], ids=["path", "triangle", "twin", "rank0", "two_arm", "learned_twin", "learned_path"])
+def test_grouped_saturation_matches_per_clause(builder):
+    """On every member up to 7 vertices and on the spot graphs, saturating
+    over rule groups derives exactly the pairs the per-clause loop does."""
+    gamma, params = builder()
+    graphs = generate_language(gamma, params, 7) + list(_spot_graphs())
+    for g in graphs:
+        universe = sub_w(g, params.w)
+        universe.add(closed(g))
+        got = saturate(gamma, universe, universe.find).derived
+        want = saturate_each(gamma, universe, universe.find)
+        assert set(got) == set(want), f"n={g.n}, m={g.m}"

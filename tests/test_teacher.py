@@ -5,12 +5,12 @@ import pytest
 
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import closed, graph_from_parts, iso_check
-from clausegraph.membership import member
+from clausegraph.membership import FragmentUniverse, member
 from clausegraph.teacher import Presentation, Teacher, generate_language
 
-from .conftest import rank0_grammar, two_arm_grammar
+from .conftest import learned_hypothesis, rank0_grammar, two_arm_grammar
 from .enumeration import all_graphs_upto
-from .oracles import TopDownOracle
+from .oracles import TopDownOracle, saturate_each
 
 
 def path_graph(n, labels=None):
@@ -91,6 +91,30 @@ def test_generated_representatives_are_pinned(builder, count, digest):
     blob = repr([(sorted(g.vlabel.items()), sorted(g.edges.items())) for g in members])
     assert len(members) == count
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("builder, cap", [
+    (path_grammar, 8), (twin_grammar, 8), (triangle_grammar, 8),
+    (rank0_grammar, 7), (two_arm_grammar, 8),
+    (lambda: learned_hypothesis(twin_grammar, 5), 7),
+    (lambda: learned_hypothesis(path_grammar, 5), 7),
+], ids=["path", "twin", "triangle", "rank0", "two_arm", "learned_twin",
+        "learned_path"])
+def test_generation_matches_per_clause_saturation(builder, cap):
+    """Generation over rule groups yields the language the per-clause loop
+    yields over the same growing universe."""
+    gamma, params = builder()
+    universe = FragmentUniverse()
+
+    def within_bounds(g):
+        if g.graph.n > cap or g.graph.max_degree() > params.delta:
+            return None
+        return universe.add(g)
+
+    derived = saturate_each(gamma, universe, within_bounds)
+    want = {universe[idx].key for pred, idx in derived if pred == gamma.start.name}
+    got = [closed(g).key for g in generate_language(gamma, params, cap)]
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_generated_members_are_oracle_positive():
