@@ -3,20 +3,22 @@
 A specification is an ordered tuple of distinct vertices plus a set of edges
 touching them; a valid one determines a unique boundary-attached fragment:
 the chosen vertices, everything reachable behind the chosen edges once the
-boundary is deleted, and the edges among those.  ``enumerate_brep`` lists
-every valid specification of bounded rank over a sample, fragments included.
+boundary is deleted, and the edges among those.  ``boundary_specs`` walks
+every specification of bounded rank of one graph in one fixed order, and
+``enumerate_brep`` lists them over a sample, fragments included.
 
 Fragments keep their source vertex ids, so rebuilding one from the same
 specification gives an identical object; deduplication up to isomorphism is
 the caller's business (the learner collapses representations through the
-fragments' canonical keys).
+fragments' canonical keys; ``membership.sub_w`` classes specifications by
+their parts before building them).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import (
     EMPTY_INTERFACE_GRAPH,
@@ -139,24 +141,36 @@ def build_fragment(g: LabeledGraph, beta: Sequence[int],
     return GraphWithInterface(LabeledGraph(vlabel, edges), beta)
 
 
-def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> list:
-    """All boundary representations of rank 0..w for one graph.
+def boundary_specs(g: LabeledGraph, w: int) -> Iterator[tuple]:
+    """Every specification of rank 0..w of ``g``, grouped by boundary tuple.
 
-    Deterministic order: rank ascending, boundary tuples in lexicographic
-    vertex-id order, edge subsets in binary-counter order over the sorted
-    incident edge list.
+    Yields ``(beta, incident, masks)``: boundary tuples of each rank in
+    lexicographic vertex-id order, the sorted list of the edges that meet
+    ``beta``, and the masks of its specifications in binary-counter order
+    (bit i chooses ``incident[i]``; see ``chosen``).
     """
-    out = []
     verts = sorted(g.vertices)
     for r in range(w + 1):
         for beta in permutations(verts, r):
-            bset = set(beta)
-            incident = sorted(e for e in g.edges
-                              if e[0] in bset or e[1] in bset)
-            for mask in range(1 << len(incident)):
-                eb = [incident[i] for i in range(len(incident)) if mask >> i & 1]
-                spec = BoundarySpec(source, beta, eb)
-                out.append(BoundaryRep(spec, build_fragment(g, beta, eb)))
+            incident = sorted({(b, v) if b < v else (v, b)
+                               for b in beta for v, _ in g.neighbors(b)})
+            yield beta, incident, range(1 << len(incident))
+
+
+def chosen(incident: Sequence[tuple], mask: int) -> list:
+    """The edges of ``incident`` that ``mask`` chooses."""
+    return [incident[i] for i in range(len(incident)) if mask >> i & 1]
+
+
+def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> list:
+    """All boundary representations of rank 0..w for one graph, in the order
+    of ``boundary_specs``."""
+    out = []
+    for beta, incident, masks in boundary_specs(g, w):
+        for mask in masks:
+            eb = chosen(incident, mask)
+            spec = BoundarySpec(source, beta, eb)
+            out.append(BoundaryRep(spec, build_fragment(g, beta, eb)))
     return out
 
 

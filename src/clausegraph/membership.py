@@ -4,8 +4,10 @@ generation.
 One semi-naive loop (``saturate``) derives the least set of (predicate,
 fragment) pairs over a universe of fragments.  Membership runs it over a
 fixed universe: the input graph's boundary-attached fragments of rank at
-most w, plus the whole graph with empty interface, and a realized graph
-counts only when it is already in that universe.  The input graph is a
+most w (``sub_w``, which classes each boundary specification by its parts
+and builds only the first of each class), plus the whole graph with empty
+interface, and a realized graph counts only when it is already in that
+universe.  The input graph is a
 fragment like any other, so a graph is a member exactly when the start
 predicate holds on it.  Generation (``teacher.generate_language``) runs the
 same loop over a universe that starts empty and grows by every realized
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Optional
 
-from .boundary import brep_for_graph
+from .boundary import boundary_specs, build_fragment, chosen
 from .clauses import Clause, ClauseSystem, ParamTuple, PredicateSymbol
 from .graphs import (
     GraphWithInterface,
@@ -43,12 +45,9 @@ class FragmentUniverse:
     distances to the interface, and resolves within a bucket by exact
     isomorphism (``iso_check``).  Fragments that differ only in where the
     interface sits fall into different buckets, so nearly every exact test
-    finds its match: on the benchmark's grids (seed 1) 0 of 2,560 and 8 of
-    11,102 tests fail.  One unscaled pass over the twin grid takes 0.78 s
-    this way against 4.99 s with a universe keyed by canonical key alone,
-    and one pass over the path grid 1.32 s against 1.81 s (2-core host),
-    because a key refines colours over the whole fragment.  Keys can
-    replace the buckets once they are cheaper; see ROADMAP items 2 and 3.
+    finds its match.  ``sub_w`` resolves most specifications without a
+    lookup, by the classes of their parts, and ``append``s a fragment it
+    knows to be new.
     """
 
     def __init__(self):
@@ -59,8 +58,14 @@ class FragmentUniverse:
     def add(self, g: GraphWithInterface) -> int:
         bucket = self._buckets.setdefault(invariant_signature(g), [])
         idx = self.find(g, bucket)
-        if idx is not None:
-            return idx
+        return self.append(g, bucket) if idx is None else idx
+
+    def append(self, g: GraphWithInterface, bucket: Optional[list] = None) -> int:
+        """Index of ``g`` as a new class; the caller knows no fragment of the
+        universe is isomorphic to it.  ``bucket`` is ``g``'s signature
+        bucket when the caller has already looked it up."""
+        if bucket is None:
+            bucket = self._buckets.setdefault(invariant_signature(g), [])
         idx = len(self.fragments)
         self.fragments.append(g)
         self.by_labels.setdefault(g.interface_labels(), []).append(idx)
@@ -84,13 +89,98 @@ class FragmentUniverse:
         return self.fragments[idx]
 
 
+def _part_masks(g: LabeledGraph, bset: set, incident: list) -> list:
+    """For each component of g - beta that an edge of ``incident`` reaches,
+    the mask of the incident edges into it; edges within beta are in none."""
+    component: dict = {}
+    out = []
+    for i, (u, v) in enumerate(incident):
+        x = u if v in bset else v
+        if x in bset:
+            continue
+        if x not in component:
+            component[x] = len(out)
+            out.append(0)
+            stack = [x]
+            while stack:
+                for y, _ in g.neighbors(stack.pop()):
+                    if y not in bset and y not in component:
+                        component[y] = component[x]
+                        stack.append(y)
+        out[component[x]] |= 1 << i
+    return out
+
+
 def sub_w(g: LabeledGraph, w: int) -> FragmentUniverse:
     """All boundary-attached fragments of ``g`` with rank <= w, one
-    representative per isomorphism class, in deterministic enumeration
-    order."""
+    representative per isomorphism class: the first fragment of each class
+    in ``boundary_specs`` order.
+
+    Each specification is put in its class before anything is built.  The
+    fragment F of (beta, chosen edges) is beta, its chosen beta-beta edges,
+    and one part per component C of g - beta that a chosen edge reaches: C
+    and beta with the chosen edges into C.  An isomorphism that keeps the
+    interface order maps the components of F - beta onto those of F' -
+    beta, and isomorphisms of the parts glue along beta, so F and F' are
+    isomorphic exactly when their interface labels, their beta-beta edges
+    by interface position and label, and the multisets of their parts'
+    classes agree.  Hence:
+
+    - a spec of at most one part and no beta-beta edge is built and
+      deduplicated by ``FragmentUniverse.add``;
+    - any other spec is keyed by its labels, beta-beta edges and the
+      classes of its one-part sub-specs, which have smaller masks and so
+      are already resolved; it is built only when its key is new;
+    - an ordering of beta other than the sorted one, which comes first,
+      takes its class from the sorted ordering's class and the
+      permutation, since reordering the interface commutes with
+      isomorphism; the pair (class, permutation) is resolved once, and
+      its answer also gives the class of (answer, inverse permutation).
+
+    The universe therefore holds the same fragments in the same order as
+    adding every specification's fragment would give.
+    """
     universe = FragmentUniverse()
-    for rep in brep_for_graph(g, w):
-        universe.add(rep.fragment)
+    several: dict = {}  # key of a spec of several parts -> universe index
+    reordered: dict = {}  # (class under sorted beta, permutation) -> index
+    sorted_classes: dict = {}  # sorted beta -> class of each mask
+    for beta, incident, masks in boundary_specs(g, w):
+        base = tuple(sorted(beta))
+        perm = None if beta == base else tuple(base.index(v) for v in beta)
+        inverse = perm and tuple(beta.index(v) for v in base)
+        pos = {v: i for i, v in enumerate(beta)}
+        inner = sum(1 << i for i, (u, v) in enumerate(incident)  # beta-beta edges
+                    if u in pos and v in pos)
+        parts = None
+        classes = []  # universe index of each mask of beta
+        for mask in masks:
+            if perm is not None:
+                memo = (sorted_classes[base][mask], perm)
+                if memo in reordered:
+                    classes.append(reordered[memo])
+                    continue
+            subs = ()
+            if mask & (mask - 1) or mask & inner:
+                if parts is None:
+                    parts = _part_masks(g, set(beta), incident)
+                subs = [mask & p for p in parts if mask & p]
+            if not mask & inner and len(subs) <= 1:
+                idx = universe.add(build_fragment(g, beta, chosen(incident, mask)))
+            else:
+                key = (tuple(g.vlabel[v] for v in beta),
+                       tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), g.edges[u, v])
+                                    for u, v in chosen(incident, mask & inner))),
+                       tuple(sorted(classes[s] for s in subs)))
+                idx = several.get(key)
+                if idx is None:
+                    idx = several[key] = universe.append(
+                        build_fragment(g, beta, chosen(incident, mask)))
+            if perm is not None:
+                reordered[memo] = idx
+                reordered[idx, inverse] = memo[0]
+            classes.append(idx)
+        if perm is None:
+            sorted_classes[beta] = classes
     return universe
 
 

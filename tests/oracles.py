@@ -5,9 +5,11 @@ oracle enumerates all vertex bijections, the boundary oracle re-derives
 fragments from first principles, and the membership oracle is a memoized
 top-down derivation search.  The admission and saturation references walk
 one candidate and one clause at a time, where the library shares that work
-across candidates and clauses with a common body.  Keeping these routes
-separate from the code under test is what gives the equivalence checks
-their teeth.
+across candidates and clauses with a common body, and the fragment-universe
+reference builds and deduplicates one fragment per boundary specification,
+where the library classes most specifications by their parts first.
+Keeping these routes separate from the code under test is what gives the
+equivalence checks their teeth.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
+from clausegraph.boundary import brep_for_graph
 from clausegraph.graphs import (
     GraphPattern,
     GraphWithInterface,
@@ -23,6 +26,7 @@ from clausegraph.graphs import (
     compose,
     realize,
 )
+from clausegraph.membership import FragmentUniverse
 
 
 def brute_iso(a, b) -> bool:
@@ -160,6 +164,16 @@ def naive_fragment(g: LabeledGraph, beta, eb) -> GraphWithInterface:
         elif e[0] in reached and e[1] in reached:
             ek[e] = lab
     return GraphWithInterface(LabeledGraph({v: g.vlabel[v] for v in vk}, ek), beta)
+
+
+def sub_w_each(g: LabeledGraph, w: int) -> FragmentUniverse:
+    """The fragment universe built one specification at a time: every
+    boundary representation's fragment is built and added, and the universe
+    deduplicates it by isomorphism."""
+    universe = FragmentUniverse()
+    for rep in brep_for_graph(g, w):
+        universe.add(rep.fragment)
+    return universe
 
 
 # ---------------------------------------------------------------------------

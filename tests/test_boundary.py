@@ -157,6 +157,18 @@ def test_enumeration_matches_naive_oracle(rng):
         assert got == want
 
 
+def test_enumeration_order_matches_naive_oracle():
+    # rank ascending, boundary tuples in permutations order, edge subsets in
+    # binary-counter order over the edges meeting the tuple, as the naive
+    # oracle scans them
+    rng = random.Random(21)
+    for _ in range(25):
+        g = random_graph(rng, rng.randint(0, 7), edge_prob=rng.random())
+        w = rng.randint(0, 3 if g.n <= 5 else 2)
+        got = [(r.spec.beta, r.spec.boundary_edges) for r in brep_for_graph(g, w)]
+        assert got == naive_boundary_specs(g, w)
+
+
 def test_rank_counts_within_bound(rng):
     delta = 3
     for _ in range(25):

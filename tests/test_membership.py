@@ -25,7 +25,7 @@ from clausegraph.teacher import generate_language
 from .conftest import (learned_hypothesis, random_graph, rank0_grammar,
                        two_arm_grammar)
 from .enumeration import all_graphs_upto
-from .oracles import TopDownOracle, brute_iso, saturate_each
+from .oracles import TopDownOracle, brute_iso, saturate_each, sub_w_each
 
 
 def path_graph(n, labels=None, elabel="e"):
@@ -114,6 +114,87 @@ def test_sub_w_on_paths_makes_no_failing_iso_check(monkeypatch):
         verdicts.clear()
         sub_w(path_graph(n), w)
         assert verdicts and all(verdicts), (n, w, verdicts.count(False))
+
+
+def _assert_sub_w_matches_one_build_per_spec(g, w):
+    got, want = sub_w(g, w), sub_w_each(g, w)
+    assert got.fragments == want.fragments, (g.vlabel, g.edges, w)
+    assert got.by_labels == want.by_labels
+    assert got._buckets == want._buckets
+
+
+@pytest.mark.parametrize("builder", [path_grammar, triangle_grammar, twin_grammar])
+def test_sub_w_matches_one_build_per_spec_on_members(builder):
+    gamma, params = builder()
+    for g in generate_language(gamma, params, 7):
+        _assert_sub_w_matches_one_build_per_spec(g, params.w)
+
+
+def _shuffled(g, rng):
+    ids = list(g.vertices)
+    rng.shuffle(ids)
+    perm = dict(zip(g.vertices, ids))
+    return graph_from_parts([(perm[v], lab) for v, lab in g.vlabel.items()],
+                            [(perm[u], perm[v], lab) for (u, v), lab in g.edges.items()])
+
+
+def _marked_path(n, at):
+    labels = ["a"] * n
+    labels[at] = "b"
+    return path_graph(n, labels)
+
+
+def _two_paths(n):
+    return graph_from_parts([(i, "a") for i in range(n)],
+                            [(i, i + 1, "e") for i in range(n - 1) if i != n // 2 - 1])
+
+
+def test_sub_w_matches_one_build_per_spec_on_path_and_twin_inputs():
+    """The benchmark's membership input kinds, each under a shuffled
+    numbering: the path kinds at w=2 and the twin kinds at w=1."""
+    rng = random.Random(11)
+    for n in range(4, 11):
+        for g in (path_graph(n), cycle_graph(n), _marked_path(n, n // 2), _two_paths(n)):
+            _assert_sub_w_matches_one_build_per_spec(_shuffled(g, rng), 2)
+    for n in range(8, 21, 4):
+        for g in (path_graph(n), path_graph(n + 1), _marked_path(n, n - 1),
+                  _marked_path(n, n // 2), cycle_graph(n)):
+            _assert_sub_w_matches_one_build_per_spec(_shuffled(g, rng), 1)
+
+
+def test_sub_w_matches_one_build_per_spec_on_random_graphs():
+    # w=3 reorders interfaces by permutations that are not swaps
+    rng = random.Random(12)
+    for i in range(500):
+        w = i % 4
+        g = random_graph(rng, rng.randint(0, (6, 6, 5, 4)[w]), edge_prob=rng.random())
+        _assert_sub_w_matches_one_build_per_spec(g, w)
+
+
+@pytest.mark.parametrize("n,w,specs,builds,iso_checks", [
+    (10, 2, 1069, 460, 235),
+    (36, 1, 141, 124, 70),
+])
+def test_sub_w_work_is_pinned(monkeypatch, n, w, specs, builds, iso_checks):
+    # most specs are classed by their parts or by the sorted ordering of
+    # their interface, without a build; the counts are deterministic
+    calls = {"build": 0, "iso": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(membership_mod, "build_fragment",
+                        counted("build", membership_mod.build_fragment))
+    monkeypatch.setattr(membership_mod, "iso_check",
+                        counted("iso", membership_mod.iso_check))
+    g = path_graph(n)
+    sub_w(g, w)
+    assert len(brep_for_graph(g, w)) == specs
+    assert (calls["build"], calls["iso"]) == (builds, iso_checks)
+    assert calls["build"] < specs
 
 
 def test_universe_find_up_to_iso():
