@@ -10,13 +10,15 @@ hypothesis by enumerating bounded clause candidates over the basis and
 admitting exactly those that survive membership-query tests against residual
 substitutions; a stage that changes none of them keeps the last hypothesis.
 A rebuild reuses what a growing residual cannot change: the candidates while
-the basis and the alphabets stay, the realizations of residual classes, and
-the clause system while the admitted set stays.  Candidates that share a head
-shape and a body and differ only in their head class are admitted together:
-their families are walked and realized once, and a body that no family can
-realize is settled by counting alone.  Every oracle query is still asked, so
-the stage counters are those of a rebuild from scratch, one candidate at a
-time.
+the basis and the alphabets stay, the realizations of residual classes, the
+composed query graphs of table cells and admission tests, and the clause
+system while the admitted set stays.  Candidates that share a head shape and
+a body and differ only in their head class are admitted together: their
+families are walked and realized once, and a body that no family can realize
+is settled by counting alone.  Every oracle query is still asked, so the
+stage counters are those of a rebuild from scratch, one candidate at a time;
+a query asked again is the graph composed the first time, which the teacher
+answers from its memos without keying it again.
 
 Representations with isomorphic fragments are collapsed into one class:
 every admission test depends on a representation only through its fragment,
@@ -97,28 +99,43 @@ def with_empty_class(classes: Sequence[RepClass]) -> list:
     return sorted([EMPTY_CLASS, *classes], key=lambda c: (c.rank, c.key))
 
 
+def _composed(composed: dict, key, g: GraphWithInterface,
+              h: GraphWithInterface) -> Optional[LabeledGraph]:
+    """``compose(g, h)``, memoised in ``composed`` under ``key``, which must
+    determine both fragments exactly; an undefined composition is memoised
+    as None."""
+    if key not in composed:
+        composed[key] = compose(g, h)
+    return composed[key]
+
+
 class ObservationTable:
     """Boolean table over (basis class, residual class) pairs: a cell is true
     iff the composition of the two fragments is defined and the oracle
     accepts it.  Rank mismatches and undefined compositions are false without
     a query.  Each row keeps the set of its true columns, and ``row_of`` finds
-    a basis class's row by key, so admission tests read the table directly."""
+    a basis class's row by key, so admission tests read the table directly.
+    ``composed``, if given, memoises each cell's composition under its (row
+    class, column class) pair across tables; every query is still asked."""
 
     def __init__(self, rows: Sequence[RepClass], cols: Sequence[RepClass],
-                 oracle: Callable[[LabeledGraph], bool]):
+                 oracle: Callable[[LabeledGraph], bool],
+                 composed: Optional[dict] = None):
         self.rows = list(rows)
         self.cols = list(cols)
         self.row_of = {cls.key: ri for ri, cls in enumerate(self.rows)}
         self.queries = 0
         self.true_cols = []
+        composed = composed if composed is not None else {}
         for row in self.rows:
             true = []
             for ci, col in enumerate(self.cols):
                 if row.rank == col.rank:
-                    composed = compose(row.fragment, col.fragment)
-                    if composed is not None:
+                    query = _composed(composed, (row, col),
+                                      row.fragment, col.fragment)
+                    if query is not None:
                         self.queries += 1
-                        if oracle(composed):
+                        if oracle(query):
                             true.append(ci)
             self.true_cols.append(frozenset(true))
 
@@ -355,15 +372,20 @@ class _AdmissionMemo:
     to the next: the candidate list and shape constant, while the basis
     keys, the bounds and the alphabets stay the same; realizations, keyed by
     (head shape, residual classes) and canonicalised once in ``realized``;
-    and the clause system, while the basis keys and the admitted candidates'
-    keys stay the same.  Oracle verdicts (``head_memo``) are kept for one
-    construction only, so every query, family and counter is the one a
-    construction from scratch makes."""
+    the composed query graphs (``composed``), keyed by (row class, column
+    class) for table cells, by (head class, ground head) for facts and by
+    (head class, realized id) for admission heads; and the clause system,
+    while the basis keys and the admitted candidates' keys stay the same.
+    Oracle verdicts (``head_memo``) are kept for one construction only, so
+    every query, family and counter is the one a construction from scratch
+    makes; a query built on a carried realization may differ from the
+    scratch one in its vertex ids only."""
 
     def __init__(self):
         self.realize_memo: dict = {}
         self.head_memo: dict = {}
         self.realized: dict = {}
+        self.composed: dict = {}
         self._candidates = None  # (key, candidates, shape constant)
         self._system = None  # (key, ClauseSystem)
 
@@ -434,7 +456,8 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
         ground = first.shape.pattern.as_interface_graph()
         verdicts = []
         for cand in group:
-            composed = compose(cand.head.fragment, ground)
+            composed = _composed(memo.composed, (cand.head, ground),
+                                 cand.head.fragment, ground)
             if composed is not None:
                 counter["fact_queries"] += 1
             verdicts.append(composed is not None and oracle(composed))
@@ -484,7 +507,8 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
             if hkey in memo.head_memo:
                 verdict = memo.head_memo[hkey]
             else:
-                composed = compose(head.fragment, memo.realized[realized_id])
+                composed = _composed(memo.composed, (head, realized_id),
+                                     head.fragment, memo.realized[realized_id])
                 if composed is None:
                     verdict = False  # undefined head composition reads as negative
                 else:
@@ -528,7 +552,7 @@ def construct_gamma(basis: Sequence[RepClass], residual: Sequence[RepClass],
     memo = memo if memo is not None else _AdmissionMemo()
     memo.head_memo = {}
     basis = with_empty_class(basis)
-    table = ObservationTable(basis, residual, oracle)
+    table = ObservationTable(basis, residual, oracle, memo.composed)
     candidates, shape_constant, groups = memo.candidates(
         basis, params, vlabels, elabels)
     counter: Counter = Counter()

@@ -1,11 +1,13 @@
 """Simulated oracle and positive-presentation source for a known target.
 
 The teacher answers membership queries by running the decision procedure on
-its target system (memoized up to isomorphism) and enumerates the target
-language up to a vertex cap with the same saturation, run over a universe
-that grows by the graphs it derives.  Learners talk to it only through
-``answer`` and the presentation stream; nothing else of the target leaks
-through the interface.
+its target system and enumerates the target language up to a vertex cap with
+the same saturation, run over a universe that grows by the graphs it derives.
+Answers are memoized at two levels: a query graph seen before, vertex ids and
+all, finds its canonical key without recomputing it, and a key seen before,
+from any isomorphic query, finds its verdict without a membership run.
+Learners talk to it only through ``answer`` and the presentation stream;
+nothing else of the target leaks through the interface.
 """
 
 from __future__ import annotations
@@ -65,20 +67,29 @@ class Presentation:
 
 
 class Teacher:
-    """Membership oracle plus presentation source for one target system."""
+    """Membership oracle plus presentation source for one target system.
+
+    Every query is counted in ``queries_total``; ``queries_unique`` counts
+    the isomorphism classes among them.  ``query_cache`` maps a class's
+    canonical key to its first query graph and verdict, and ``key_memo``
+    maps each distinct query graph (equal vertex ids, labels and edges) to
+    its canonical key, so a repeated query costs two dict lookups."""
 
     def __init__(self, target: ClauseSystem, params: ParamTuple, size_cap: int):
         self.target = target
         self.params = params
         self.size_cap = size_cap
         self.query_cache: dict = {}
+        self.key_memo: dict = {}
         self.queries_total = 0
         self.queries_unique = 0
         self._language = None
 
     def answer(self, g: LabeledGraph) -> bool:
         self.queries_total += 1
-        key = canonical_key(GraphWithInterface(g, ()))
+        key = self.key_memo.get(g)
+        if key is None:
+            key = self.key_memo[g] = canonical_key(GraphWithInterface(g, ()))
         if key in self.query_cache:
             return self.query_cache[key][1]
         self.queries_unique += 1
@@ -96,11 +107,16 @@ class Teacher:
         return Presentation(self.language, seed=seed)
 
     def verify_cache(self, sample_size: int = 20, seed: int = 0) -> bool:
-        """Spot-check that cached answers match fresh recomputations."""
+        """Spot-check that cached answers match fresh recomputations and
+        that memoized query keys match fresh canonical keys."""
         rng = random.Random(seed)
         items = sorted(self.query_cache.items())
         if len(items) > sample_size:
             items = rng.sample(items, sample_size)
+        keyed = list(self.key_memo.items())
+        if len(keyed) > sample_size:
+            keyed = rng.sample(keyed, sample_size)
         return all(
             member(self.target, self.target.start, g, self.params) == cached
-            for _, (g, cached) in items)
+            for _, (g, cached) in items) and all(
+            canonical_key(GraphWithInterface(g, ())) == key for g, key in keyed)

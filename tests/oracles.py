@@ -7,9 +7,10 @@ top-down derivation search.  The admission and saturation references walk
 one candidate and one clause at a time, where the library shares that work
 across candidates and clauses with a common body, and the fragment-universe
 reference builds and deduplicates one fragment per boundary specification,
-where the library classes most specifications by their parts first.
-Keeping these routes separate from the code under test is what gives the
-equivalence checks their teeth.
+where the library classes most specifications by their parts first.  The
+reference teacher keys every query afresh, where the library's teacher
+memoizes each distinct query graph's key.  Keeping these routes separate
+from the code under test is what gives the equivalence checks their teeth.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from clausegraph.graphs import (
     compose,
     realize,
 )
-from clausegraph.membership import FragmentUniverse
+from clausegraph.membership import FragmentUniverse, member
+from clausegraph.teacher import Teacher
 
 
 def brute_iso(a, b) -> bool:
@@ -520,6 +522,25 @@ def _edge_choices(ambiguous):
     for rest in _edge_choices(ambiguous[1:]):
         for chosen in subsets:
             yield [(e, lab, chosen)] + rest
+
+
+# ---------------------------------------------------------------------------
+# a teacher without the query-key memo
+# ---------------------------------------------------------------------------
+
+class KeyEveryQueryTeacher(Teacher):
+    """A ``Teacher`` that computes every query's canonical key afresh and
+    memoizes answers by key only."""
+
+    def answer(self, g: LabeledGraph) -> bool:
+        self.queries_total += 1
+        key = canonical_key(GraphWithInterface(g, ()))
+        if key in self.query_cache:
+            return self.query_cache[key][1]
+        self.queries_unique += 1
+        result = member(self.target, self.target.start, g, self.params)
+        self.query_cache[key] = (g, result)
+        return result
 
 
 # ---------------------------------------------------------------------------

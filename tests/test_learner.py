@@ -14,6 +14,7 @@ from clausegraph.graphs import (
     graph_from_parts,
 )
 import clausegraph.learner as learner_mod
+import clausegraph.teacher as teacher_mod
 from clausegraph.learner import (
     EMPTY_CLASS,
     ClauseCandidate,
@@ -574,6 +575,60 @@ def test_stage_summaries_are_pinned(builder, cap, stages, want):
     for rec in learner.run(teacher.presentation(seed=2), stages):
         digest.update(json.dumps(rec.summary(), sort_keys=True).encode())
     assert digest.hexdigest() == want
+
+
+@pytest.mark.parametrize("builder,cap", [(path_grammar, 5), (twin_grammar, 4)])
+def test_memoised_compositions_ask_what_composing_each_asks(builder, cap,
+                                                          monkeypatch):
+    """A learn run on the carried composition memo sends the oracle the same
+    query graphs, vertex ids and all, in the same order, and records the
+    same stages as a run that composes every query afresh."""
+    gamma, params = builder()
+    runs = []
+    for memoised in (False, True):
+        teacher = Teacher(gamma, params, size_cap=cap)
+        asked = []
+
+        def oracle(g, teacher=teacher, asked=asked):
+            asked.append(g)
+            return teacher.answer(g)
+
+        with monkeypatch.context() as patch:
+            if not memoised:
+                patch.setattr(learner_mod, "_composed",
+                              lambda memo, key, g, h: learner_mod.compose(g, h))
+            records = Learner(oracle, params).run(teacher.presentation(seed=2), 8)
+        runs.append((asked, [rec.summary() for rec in records]))
+    assert len(runs[0][0]) > 0
+    assert runs[1] == runs[0]
+
+
+def test_learn_run_keys_and_composes_each_distinct_query_once(monkeypatch):
+    """Pinned work counters of one learn run: the teacher keys each distinct
+    query graph once and the learner composes each memoised query once.
+    Keying every query would make 1,520 keys here, and composing every
+    query afresh 2,590 compositions."""
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=4)
+    presentation = teacher.presentation(seed=2)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(teacher_mod, "canonical_key",
+                        counting("keys", teacher_mod.canonical_key))
+    monkeypatch.setattr(learner_mod, "compose",
+                        counting("compositions", learner_mod.compose))
+    learner = Learner(teacher.answer, params)
+    learner.run(presentation, 8)
+    assert calls["keys"] == len(teacher.key_memo)
+    assert calls["compositions"] == len(learner._memo.composed)
+    assert (teacher.queries_total, teacher.queries_unique) == (1520, 174)
+    assert (calls["keys"], calls["compositions"]) == (295, 855)
 
 
 # ---------------------------------------------------------------------------

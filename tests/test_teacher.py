@@ -3,14 +3,16 @@ import hashlib
 
 import pytest
 
+import clausegraph.teacher as teacher_mod
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import closed, graph_from_parts, iso_check
+from clausegraph.learner import Learner
 from clausegraph.membership import FragmentUniverse, member
 from clausegraph.teacher import Presentation, Teacher, generate_language
 
 from .conftest import learned_hypothesis, rank0_grammar, two_arm_grammar
 from .enumeration import all_graphs_upto
-from .oracles import TopDownOracle, saturate_each
+from .oracles import KeyEveryQueryTeacher, TopDownOracle, saturate_each
 
 
 def path_graph(n, labels=None):
@@ -150,6 +152,72 @@ def test_cache_spot_check():
         teacher.answer(g)
     teacher.answer(graph_from_parts([(0, "b")]))
     assert teacher.verify_cache()
+
+
+def test_query_key_memo_keys_each_distinct_graph_once(monkeypatch):
+    """An equal graph, even a fresh object, reuses its memoized key; an
+    isomorphic graph under other vertex ids is keyed again and still counts
+    as the same unique query."""
+    gamma, params = path_grammar()
+    teacher = Teacher(gamma, params, size_cap=5)
+    keyed = []
+    original = teacher_mod.canonical_key
+
+    def counting(g, *args):
+        keyed.append(g)
+        return original(g, *args)
+
+    monkeypatch.setattr(teacher_mod, "canonical_key", counting)
+    assert teacher.answer(path_graph(3)) and teacher.answer(path_graph(3))
+    assert len(keyed) == 1
+    renumbered = graph_from_parts([(10, "a"), (20, "a"), (30, "a")],
+                                  [(10, 20, "e"), (20, 30, "e")])
+    assert teacher.answer(renumbered)
+    assert len(keyed) == 2
+    assert teacher.queries_total == 3 and teacher.queries_unique == 1
+    assert len(teacher.key_memo) == 2 and len(teacher.query_cache) == 1
+
+
+def test_verify_cache_catches_a_corrupted_key_memo_entry():
+    gamma, params = path_grammar()
+    teacher = Teacher(gamma, params, size_cap=5)
+    for g in teacher.language:
+        teacher.answer(g)
+    assert teacher.verify_cache()
+    # fewer entries than the sample size, so every one is checked
+    first, second = teacher.language[:2]
+    teacher.key_memo[first] = closed(second).key
+    assert not teacher.verify_cache()
+
+
+@pytest.mark.parametrize("builder, cap", [
+    (path_grammar, 5), (twin_grammar, 4), (triangle_grammar, 5),
+    (rank0_grammar, 5),
+], ids=["path", "twin", "triangle", "rank0"])
+def test_memoized_keys_answer_as_keying_every_query(builder, cap):
+    """Against the teacher that keys every query afresh, a learn run asks
+    the same query graphs in the same order, gets the same answers, leaves
+    the same counters and cache keys and records the same stages."""
+    gamma, params = builder()
+    runs = []
+    for make in (KeyEveryQueryTeacher, Teacher):
+        teacher = make(gamma, params, size_cap=cap)
+        log = []
+
+        def oracle(g, teacher=teacher, log=log):
+            verdict = teacher.answer(g)
+            log.append((g, verdict))
+            return verdict
+
+        learner = Learner(oracle, params)
+        records = learner.run(teacher.presentation(seed=2),
+                              2 * len(teacher.language))
+        runs.append((log, teacher.queries_total, teacher.queries_unique,
+                     list(teacher.query_cache),
+                     [rec.summary() for rec in records]))
+    log, total, unique = runs[0][:3]
+    assert len(log) == total > unique > 0
+    assert runs[1] == runs[0]
 
 
 def test_presentation_cycles_in_order():
