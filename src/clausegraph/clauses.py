@@ -6,10 +6,13 @@ one-to-one with the head pattern's hyperedge occurrences by variable label.
 (`check_fixed_interface`, `check_bounded`, `check_degree_safe`) stay
 available for validating foreign input.
 
-A clause's identity up to variable renaming and body order is
-``clause_key``, over the head pattern's cached ``renaming_keys`` and, per
-body star, its renamed variable, port labels and predicate name; the learner
-keys its candidates with the same function.
+A clause reads its body once, into ``Clause.stars``: one (variable, port
+labels, predicate name) triple per body atom, in body order.  Every
+per-clause view derives from it: the fixed-interface check compares it with
+the head's hyperedge occurrences, saturation builds its rule groups from it,
+and the clause's identity up to variable renaming and body order,
+``clause_key``, pairs it with the head pattern's cached ``renaming_keys``;
+the learner keys its candidates with the same function.
 """
 
 from __future__ import annotations
@@ -54,33 +57,34 @@ class Atom:
 
 
 class Clause:
-    __slots__ = ("head", "body", "_shape_key")
+    __slots__ = ("head", "body", "_stars", "_shape_key")
 
     def __init__(self, head: Atom, body: Sequence[Atom] = ()):
         self.head = head
         self.body = tuple(body)
+        self._stars = None
         self._shape_key = None
 
     @property
     def is_fact(self) -> bool:
         return not self.body
 
-    def variables(self) -> dict:
-        out = dict(self.head.pattern.variables())
-        for atom in self.body:
-            for lab, rank in atom.pattern.variables().items():
-                if out.setdefault(lab, rank) != rank:
-                    raise ValueError(f"variable {lab!r} used with two ranks in one clause")
-        return out
+    @property
+    def stars(self) -> tuple:
+        """(variable, port labels, predicate name) per body atom, in body
+        order; defined when every body atom is a star."""
+        if self._stars is None:
+            self._stars = tuple(
+                (a.pattern.hyperedges[0].label, a.pattern.base.interface_labels(),
+                 a.predicate.name) for a in self.body)
+        return self._stars
 
     @property
     def shape_key(self):
         """``clause_key`` of this clause; defined for fixed-interface clauses."""
         if self._shape_key is None:
             self._shape_key = clause_key(
-                self.head.predicate.name, self.head.pattern,
-                [(a.pattern.hyperedges[0].label, a.pattern.base.interface_labels(),
-                  a.predicate.name) for a in self.body])
+                self.head.predicate.name, self.head.pattern, self.stars)
         return self._shape_key
 
     def __repr__(self):
@@ -100,19 +104,14 @@ def clause_key(head_name: str, head: GraphPattern, body) -> tuple:
 
 
 def check_fixed_interface(clause: Clause) -> bool:
-    """True iff every body atom is a star and the body atoms correspond
+    """True iff every body atom is a star and the stars correspond
     one-to-one with the head's hyperedge occurrences by variable label and
-    rank."""
-    for atom in clause.body:
-        if not is_star_pattern(atom.pattern):
-            return False
-    try:
-        clause.variables()
-    except ValueError:
+    rank.  The head pattern gives each variable one rank, so the matching
+    occurrences give each variable that same rank in the body."""
+    if not all(is_star_pattern(atom.pattern) for atom in clause.body):
         return False
     head_occ = sorted((h.label, h.rank) for h in clause.head.pattern.hyperedges)
-    body_occ = sorted((a.pattern.hyperedges[0].label, a.pattern.hyperedges[0].rank)
-                      for a in clause.body)
+    body_occ = sorted((var, len(labels)) for var, labels, _ in clause.stars)
     return head_occ == body_occ
 
 
@@ -187,7 +186,7 @@ def check_bounded(gamma: ClauseSystem, params: ParamTuple) -> list:
     if len(gamma.clauses) > params.m:
         out.append(f"clause count {len(gamma.clauses)} exceeds m={params.m}")
     for i, cl in enumerate(gamma.clauses):
-        for lab, rank in sorted(cl.variables().items()):
+        for lab, rank in cl.head.pattern.variables().items():
             if rank > params.w:
                 out.append(f"clause {i}: variable {lab!r} has rank {rank} > w={params.w}")
         if len(cl.head.pattern.hyperedges) > params.s:

@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def _load_grammar_within_w(path, params):
     silent NO for every graph."""
     gamma = load_grammar(path)
     for i, cl in enumerate(gamma.clauses):
-        for lab, rank in sorted(cl.variables().items()):
+        for lab, rank in cl.head.pattern.variables().items():
             if rank > params.w:
                 raise ValueError(f"grammar {path}: clause {i}: variable {lab!r} "
                                  f"has rank {rank} > w={params.w}")
@@ -227,9 +228,14 @@ def _cmd_learn(args) -> int:
     learner, teacher, stages = result["learner"], result["teacher"], result["stages"]
     out = _out_dir(config["out"])
     trace_stages = []
-    for rec in stages:
+    for i, rec in enumerate(stages):
         hyp_file = f"stage_{rec.stage:03d}.json"
-        dump_grammar(rec.hypothesis, out / hyp_file)
+        # a stage that kept its hypothesis object writes the same bytes as the
+        # stage before; equal digests do not promise the same clause order
+        if i and rec.hypothesis is stages[i - 1].hypothesis:
+            shutil.copyfile(out / trace_stages[-1]["hypothesis_file"], out / hyp_file)
+        else:
+            dump_grammar(rec.hypothesis, out / hyp_file)
         entry = rec.summary()
         entry["hypothesis_file"] = hyp_file
         trace_stages.append(entry)

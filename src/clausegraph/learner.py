@@ -594,6 +594,11 @@ def gamma_digest(gamma: ClauseSystem) -> str:
 
 @dataclass
 class StageRecord:
+    """One stage's facts.  A stage that keeps its hypothesis repeats the
+    counters of the construction that built it, so summing
+    ``oracle_queries`` over the stages overstates the queries sent; a run's
+    true count is the teacher's ``queries_total``."""
+
     stage: int
     presented: str            # digest of the presented graph
     sample_size: int

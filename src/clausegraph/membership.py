@@ -13,10 +13,11 @@ predicate holds on it.  Generation (``teacher.generate_language``) runs the
 same loop over a universe that starts empty and grows by every realized
 graph within its bounds.  The loop runs over groups of rules that share a
 head pattern and their variables' pools and differ only in the head
-predicate, so a binding is realized once for the whole group.
+predicate, so a binding is realized once for the whole group; the groups
+are read from each clause's ``stars``.
 
 Provenance is kept for every derived pair, so a successful query can be
-replayed as a derivation tree.
+replayed as a derivation tree of any depth.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .boundary import boundary_specs, build_fragment, chosen
-from .clauses import Clause, ClauseSystem, ParamTuple, PredicateSymbol
+from .clauses import ClauseSystem, ParamTuple, PredicateSymbol
 from .graphs import (
     GraphWithInterface,
     LabeledGraph,
@@ -204,77 +205,45 @@ class DerivedAtomSet:
         return sorted(idx for (p, idx) in self.derived if p == pred)
 
 
-class _CompiledClause:
-    """Per-clause data the fixpoint loop needs: distinct variables, the body
-    predicates grouped per variable, and each variable's pool key."""
-
-    __slots__ = ("index", "head_pred", "pattern", "vars", "body_preds", "pool_keys")
-
-    def __init__(self, clause: Clause, index: int):
-        self.index = index
-        self.head_pred = clause.head.predicate.name
-        self.pattern = clause.head.pattern
-        self.vars = sorted(clause.variables())
-        star_labels = {v: set() for v in self.vars}
-        body_preds = {v: [] for v in self.vars}
-        for atom in clause.body:
-            h = atom.pattern.hyperedges[0]
-            star_labels[h.label].add(
-                tuple(atom.pattern.base.graph.vlabel[p] for p in h.ports))
-            body_preds[h.label].append(atom.predicate.name)
-        self.body_preds = body_preds
-        # per variable: (the port labels of its stars, its sorted distinct
-        # body predicates); None when some variable's stars disagree, so
-        # nothing can ever bind it (a fixed-interface clause gives every
-        # variable at least one star)
-        self.pool_keys = None
-        if all(len(wanted) == 1 for wanted in star_labels.values()):
-            self.pool_keys = tuple((next(iter(star_labels[v])),
-                                    tuple(sorted(set(body_preds[v]))))
-                                   for v in self.vars)
-
-
-def _compiled(gamma: ClauseSystem) -> list:
-    cache = getattr(gamma, "_compiled_clauses", None)
-    if cache is None:
-        cache = [_CompiledClause(cl, i) for i, cl in enumerate(gamma.clauses)]
-        gamma._compiled_clauses = cache
-    return cache
-
-
-class _RuleGroup:
-    """Rules that share a head pattern (equal as structures, as the heads
-    of clauses built from one learner candidate shape are) and their
-    variables' pool keys, so they differ only in their head predicate: one
-    binding realizes the same graph for all of them."""
-
-    __slots__ = ("pattern", "vars", "pool_keys", "members")
-
-    def __init__(self, rule: _CompiledClause):
-        self.pattern = rule.pattern
-        self.vars = rule.vars
-        self.pool_keys = rule.pool_keys
-        self.members = []  # (head predicate, clause index), in clause order
-
-
 def _rule_groups(gamma: ClauseSystem) -> tuple:
-    """The facts, the rule groups in order of their first clause, and an
-    index from pool key to the groups that use it; cached on ``gamma``."""
+    """The facts as (head pattern, head predicate, clause index), the rule
+    groups in order of their first clause, and an index from pool key to
+    the groups that use it; cached on ``gamma``.
+
+    A group holds the rules that share a head pattern (equal as structures,
+    as the heads of clauses built from one learner candidate shape are) and
+    their variables' pool keys, so one binding realizes the same graph for
+    all of them: (head pattern, sorted variables, pool keys, members), the
+    members being (head predicate, clause index) in clause order.  A
+    variable's pool key, read from the clause's ``stars``, is the port
+    labels of its stars and its sorted distinct body predicates; a clause
+    whose stars disagree on a variable's port labels can never bind it and
+    joins no group."""
     cache = getattr(gamma, "_rule_groups", None)
     if cache is None:
         facts, groups = [], {}
-        for c in _compiled(gamma):
-            if not c.vars:
-                facts.append(c)
-            elif c.pool_keys is not None:
-                key = (c.pattern, c.pool_keys)
-                if key not in groups:
-                    groups[key] = _RuleGroup(c)
-                groups[key].members.append((c.head_pred, c.index))
+        for i, cl in enumerate(gamma.clauses):
+            head = cl.head.predicate.name
+            if not cl.stars:
+                facts.append((cl.head.pattern, head, i))
+                continue
+            labels, preds = {}, {}
+            for var, port_labels, name in cl.stars:
+                labels.setdefault(var, set()).add(port_labels)
+                preds.setdefault(var, set()).add(name)
+            if any(len(wanted) > 1 for wanted in labels.values()):
+                continue
+            variables = sorted(labels)
+            pool_keys = tuple((next(iter(labels[v])), tuple(sorted(preds[v])))
+                              for v in variables)
+            key = (cl.head.pattern, pool_keys)
+            if key not in groups:
+                groups[key] = (cl.head.pattern, variables, pool_keys, [])
+            groups[key][3].append((head, i))
         groups = list(groups.values())
         by_pool_key: dict = {}
-        for gi, group in enumerate(groups):
-            for pk in set(group.pool_keys):
+        for gi, (_, _, pool_keys, _) in enumerate(groups):
+            for pk in set(pool_keys):
                 by_pool_key.setdefault(pk, []).append(gi)
         cache = gamma._rule_groups = (facts, groups, by_pool_key)
     return cache
@@ -297,11 +266,11 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
     out = DerivedAtomSet(universe)
     facts, groups, by_pool_key = _rule_groups(gamma)
 
-    for c in facts:
-        res = realize(c.pattern, {})
+    for pattern, head_pred, clause_index in facts:
+        res = realize(pattern, {})
         idx = lookup(res) if res is not None else None
         if idx is not None:
-            out.derived.setdefault((c.head_pred, idx), Provenance(c.index, {}))
+            out.derived.setdefault((head_pred, idx), Provenance(clause_index, {}))
 
     new_pairs = set(out.derived)
     by_pred: dict[str, set] = {}
@@ -338,24 +307,24 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
                 if frontiers[pk]:
                     touched.update(gis)
         for gi in sorted(touched):
-            group = groups[gi]
-            candidates = [pool(pk) for pk in group.pool_keys]
+            pattern, variables, pool_keys, members = groups[gi]
+            candidates = [pool(pk) for pk in pool_keys]
             if not all(candidates):
                 continue
-            frontier_sets = [frontiers[pk] for pk in group.pool_keys]
+            frontier_sets = [frontiers[pk] for pk in pool_keys]
             for combo in product(*candidates):
                 if not any(idx in frontier_sets[i] for i, idx in enumerate(combo)):
                     continue
-                theta = {var: universe[idx] for var, idx in zip(group.vars, combo)}
-                res = realize(group.pattern, theta)
+                theta = {var: universe[idx] for var, idx in zip(variables, combo)}
+                res = realize(pattern, theta)
                 result_idx = lookup(res) if res is not None else None
                 if result_idx is None:
                     continue
-                for head_pred, clause_index in group.members:
+                for head_pred, clause_index in members:
                     pair = (head_pred, result_idx)
                     if pair not in out.derived:
                         out.derived[pair] = Provenance(
-                            clause_index, dict(zip(group.vars, combo)))
+                            clause_index, dict(zip(variables, combo)))
                         new_pairs.add(pair)
         for pred, idx in new_pairs:
             by_pred.setdefault(pred, set()).add(idx)
@@ -394,14 +363,21 @@ class DerivationNode:
 
 def _expand_tree(gamma: ClauseSystem, derived: DerivedAtomSet,
                  pred: str, idx: int) -> DerivationNode:
-    prov = derived.derived[(pred, idx)]
-    node = DerivationNode(pred, prov.clause_index, derived.universe[idx], {})
-    compiled = _compiled(gamma)[prov.clause_index]
-    for var in compiled.vars:
-        child_idx = prov.bindings[var]
-        child_pred = compiled.body_preds[var][0]
-        node.children[var] = _expand_tree(gamma, derived, child_pred, child_idx)
-    return node
+    """The derivation tree of a derived pair, built with an explicit stack.
+    Each child is named after the first star of its variable; siblings are
+    pushed in reverse so that they pop, and join their parent, in sorted
+    variable order."""
+    top: dict = {}
+    stack = [(pred, idx, top, None)]  # (pred, idx, parent's children, variable)
+    while stack:
+        pred, idx, siblings, var = stack.pop()
+        prov = derived.derived[(pred, idx)]
+        node = siblings[var] = DerivationNode(
+            pred, prov.clause_index, derived.universe[idx], {})
+        first = {v: name for v, _, name in reversed(gamma.clauses[prov.clause_index].stars)}
+        for v in sorted(first, reverse=True):
+            stack.append((first[v], prov.bindings[v], node.children, v))
+    return top[None]
 
 
 def member(gamma: ClauseSystem, p: PredicateSymbol, g: LabeledGraph,
@@ -423,12 +399,15 @@ def member(gamma: ClauseSystem, p: PredicateSymbol, g: LabeledGraph,
 
 
 def format_tree(node: DerivationNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    g = node.graph
-    desc = (f"{pad}{node.predicate} derives [n={g.graph.n}, m={g.graph.m}, "
-            f"rank={g.rank}] via clause {node.clause_index}")
-    lines = [desc]
-    for var in sorted(node.children):
-        lines.append(f"{pad}  {var} :=")
-        lines.append(format_tree(node.children[var], indent + 2))
+    lines = []
+    stack = [(node, indent, [])]  # (node, indent, the line naming it, if any)
+    while stack:
+        node, indent, heading = stack.pop()
+        pad = "  " * indent
+        g = node.graph
+        lines += heading
+        lines.append(f"{pad}{node.predicate} derives [n={g.graph.n}, m={g.graph.m}, "
+                     f"rank={g.rank}] via clause {node.clause_index}")
+        for var in sorted(node.children, reverse=True):
+            stack.append((node.children[var], indent + 2, [f"{pad}  {var} :="]))
     return "\n".join(lines)

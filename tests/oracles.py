@@ -621,7 +621,7 @@ def saturate_each(gamma, universe, lookup) -> dict:
     clause that first derived it."""
     facts, rules = [], []
     for index, cl in enumerate(gamma.clauses):
-        variables = sorted(cl.variables())
+        variables = list(cl.head.pattern.variables())
         stars = {var: [] for var in variables}
         for atom in cl.body:
             star = atom.pattern.hyperedges[0]

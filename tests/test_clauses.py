@@ -55,6 +55,22 @@ def test_one_hyperedge_needs_one_matching_star():
     assert not check_fixed_interface(missing)
     wrong_label = Clause(head, [Atom(q, star_pattern("z", ("a", "a")))])
     assert not check_fixed_interface(wrong_label)
+    # the label matches but the rank does not: x has rank 2 in the head
+    wrong_rank = Clause(head, [Atom(PredicateSymbol("q", 1), star_pattern("x", ("a",)))])
+    assert not check_fixed_interface(wrong_rank)
+
+
+def test_stars_read_the_body_in_order():
+    p = PredicateSymbol("p", 0)
+    q = PredicateSymbol("q", 1)
+    r = PredicateSymbol("r", 1)
+    base = closed(graph_from_parts([(0, "a"), (1, "b")]))
+    head = Atom(p, GraphPattern(base, [VariableHyperedge("x", (0,)),
+                                       VariableHyperedge("y", (1,))]))
+    cl = Clause(head, [Atom(r, star_pattern("y", ("b",))),
+                       Atom(q, star_pattern("x", ("a",)))])
+    assert cl.stars == (("y", ("b",), "r"), ("x", ("a",), "q"))
+    assert check_fixed_interface(cl)
 
 
 def test_repeated_label_needs_matching_multiplicity():

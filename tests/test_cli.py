@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import clausegraph
+import clausegraph.cli as cli_mod
 from clausegraph.cli import dispatch
 from clausegraph.clauses import ParamTuple
 from clausegraph.formats import (
@@ -250,6 +251,36 @@ def test_learn_and_replay(capsys, tmp_path):
     # replay verifies the recorded trace
     assert dispatch(["learn", "--replay", str(out_dir / "trace.json")]) == 0
     assert "replay OK" in capsys.readouterr().out
+
+
+def test_learn_writes_a_kept_hypothesis_once(capsys, tmp_path, monkeypatch):
+    # twin at cap 3, seed 2: stages 3-6 keep the hypothesis of stage 2
+    dumped, runs = [], []
+    dump = cli_mod.dump_grammar
+    run_learn = cli_mod._run_learn
+    monkeypatch.setattr(cli_mod, "dump_grammar",
+                        lambda gamma, path: (dumped.append(path), dump(gamma, path)))
+    monkeypatch.setattr(cli_mod, "_run_learn",
+                        lambda config: runs.append(run_learn(config)) or runs[-1])
+    out_dir = tmp_path / "run"
+    assert dispatch(["learn", "--target", data_path("twin_grammar.json"),
+                     "--params", data_path("twin_params.json"), "--cap", "3",
+                     "--stages", "6", "--seed", "2", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    stages = runs[0]["stages"]
+    assert [rec.hypothesis is stages[i - 1].hypothesis
+            for i, rec in enumerate(stages) if i] == [False, True, True, True, True]
+    assert [p.name for p in dumped] == ["stage_001.json", "stage_002.json"]
+    fresh = {}  # one fresh dump per distinct hypothesis object
+    for rec in stages:
+        name = f"stage_{rec.stage:03d}.json"
+        if id(rec.hypothesis) not in fresh:
+            dump(rec.hypothesis, tmp_path / name)
+            fresh[id(rec.hypothesis)] = (tmp_path / name).read_bytes()
+        assert (out_dir / name).read_bytes() == fresh[id(rec.hypothesis)]
+    trace = json.loads((out_dir / "trace.json").read_text())
+    assert [s["hypothesis_file"] for s in trace["stages"]] == \
+        [f"stage_{i:03d}.json" for i in range(1, 7)]
 
 
 def test_learn_replay_detects_tampering(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -332,6 +333,31 @@ def test_tree_formatting_mentions_clauses():
     text = format_tree(tree)
     assert "via clause" in text
     assert text.count("derives") >= 2
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_deep_derivation_tree_needs_no_deep_stack():
+    # a 200-vertex all-a twin path derives through 100 nested clauses; the
+    # tree is built and printed within a stack far shallower than that
+    gamma, params = twin_grammar()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 80)
+    try:
+        ok, tree = member(gamma, gamma.start, path_graph(200), params, want_tree=True)
+        text = format_tree(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ok
+    lines = text.split("\n")
+    assert len(lines) == 1 + 2 * 100  # 101 nodes, each below the root named by a variable
+    assert lines[0] == "p derives [n=200, m=199, rank=0] via clause 2"
+    assert lines[-1] == " " * 400 + "q derives [n=1, m=0, rank=1] via clause 0"
 
 
 def test_negative_query_has_no_tree():
