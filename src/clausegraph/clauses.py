@@ -11,8 +11,9 @@ labels, predicate name) triple per body atom, in body order.  Every
 per-clause view derives from it: the fixed-interface check compares it with
 the head's hyperedge occurrences, saturation builds its rule groups from it,
 and the clause's identity up to variable renaming and body order,
-``clause_key``, pairs it with the head pattern's cached ``renaming_keys``;
-the learner keys its candidates with the same function.
+``clause_key``, pairs it with the head pattern's cached ``renaming_keys``.
+``Clause.shape_key`` caches that key and is its only caller: each learner
+candidate builds its ``Clause`` once and is keyed by its ``shape_key``.
 """
 
 from __future__ import annotations

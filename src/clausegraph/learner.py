@@ -9,16 +9,18 @@ basis, the residual or the label alphabets change, the learner rebuilds the
 hypothesis by enumerating bounded clause candidates over the basis and
 admitting exactly those that survive membership-query tests against residual
 substitutions; a stage that changes none of them keeps the last hypothesis.
-A rebuild reuses what a growing residual cannot change: the candidates while
-the basis and the alphabets stay, the realizations of residual classes, the
-composed query graphs of table cells and admission tests, and the clause
-system while the admitted set stays.  Candidates that share a head shape and
-a body and differ only in their head class are admitted together: their
-families are walked and realized once, and a body that no family can realize
-is settled by counting alone.  Every oracle query is still asked, so the
-stage counters are those of a rebuild from scratch, one candidate at a time;
-a query asked again is the graph composed the first time, which the teacher
-answers from its memos without keying it again.
+A candidate is its clause: it builds its ``Clause`` once, is keyed by that
+clause's ``shape_key``, and every hypothesis that admits it holds that same
+clause object.  A rebuild reuses what a growing residual cannot change: the
+candidates while the basis and the alphabets stay, the realizations of
+residual classes, the composed query graphs of table cells and admission
+tests, and the clause system while the admitted set stays.  Candidates that
+share a head pattern and a body and differ only in their head class are
+admitted together: their families are walked and realized once, and a body
+that no family can realize is settled by counting alone.  Every oracle query
+is still asked, so the stage counters are those of a rebuild from scratch,
+one candidate at a time; a query asked again is the graph composed the first
+time, which the teacher answers from its memos without keying it again.
 
 Representations with isomorphic fragments are collapsed into one class:
 every admission test depends on a representation only through its fragment,
@@ -40,7 +42,7 @@ from math import prod
 from typing import Callable, Optional, Sequence
 
 from .boundary import brep_for_graph
-from .clauses import (Atom, Clause, ClauseSystem, ParamTuple, clause_key,
+from .clauses import (Atom, Clause, ClauseSystem, ParamTuple,
                       predicate_for_fragment)
 from .graphs import (
     EMPTY_INTERFACE_GRAPH,
@@ -147,41 +149,39 @@ class ObservationTable:
 # candidate enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeadShape:
-    """A head pattern with canonically named variables and its hyperedge
-    occurrences.  Clause keys read the pattern's cached ``renaming_keys``, so
-    candidates and the clauses built from them share one head-key cache."""
-
-    pattern: GraphPattern
-    occurrences: tuple  # (variable, rank, port label tuple) per hyperedge
-
-    @property
-    def head_keys(self) -> tuple:
-        """Canonical pattern key per variable renaming."""
-        return tuple(key for _, key in self.pattern.renaming_keys)
-
-    @property
-    def body_len(self) -> int:
-        return len(self.occurrences)
-
-
 @dataclass
 class ClauseCandidate:
+    """A clause over the basis: a head class, a head pattern with canonically
+    named variables, and one (variable, port labels, class) body entry per
+    hyperedge of the pattern, in hyperedge order.  The candidate builds its
+    ``Clause`` on the first ``to_clause`` call and keeps it, so every
+    hypothesis that admits the candidate holds that one clause object, and
+    ``key`` is the clause's cached ``shape_key``.  The clause is built lazily:
+    a hand-built candidate whose head rank differs from its pattern's is
+    still admitted or rejected, although ``Atom`` refuses that pair."""
+
     head: RepClass
-    shape: HeadShape
-    body: tuple  # (variable, port labels, RepClass) aligned with occurrences
-    key: tuple = field(default=None, compare=False)
+    pattern: GraphPattern
+    body: tuple
+    _clause: Optional[Clause] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def is_fact(self) -> bool:
         return not self.body
 
+    @property
+    def key(self) -> tuple:
+        clause = self._clause if self._clause is not None else self.to_clause()
+        return clause.shape_key
+
     def to_clause(self) -> Clause:
-        head_atom = Atom(self.head.predicate, self.shape.pattern)
-        body_atoms = [Atom(cls.predicate, _shared_star(var, labels))
-                      for var, labels, cls in self.body]
-        return Clause(head_atom, body_atoms)
+        if self._clause is None:
+            self._clause = Clause(
+                Atom(self.head.predicate, self.pattern),
+                [Atom(cls.predicate, _shared_star(var, labels))
+                 for var, labels, cls in self.body])
+        return self._clause
 
 
 _STAR_CACHE: dict = {}
@@ -239,10 +239,10 @@ _SHAPE_CACHE: dict = {}
 
 def head_shapes(iface_rank: int, params: ParamTuple,
                 vlabels: tuple, elabels: tuple) -> list:
-    """All head-pattern shapes with the given interface rank, up to
-    isomorphism and variable renaming: at most ``h_max`` vertices, pattern
-    degree at most ``d``, at most ``s`` hyperedges of rank at most ``w``,
-    every grouping of hyperedges into equal-label classes."""
+    """All head patterns with the given interface rank, up to isomorphism
+    and variable renaming: at most ``h_max`` vertices, pattern degree at
+    most ``d``, at most ``s`` hyperedges of rank at most ``w``, every
+    grouping of hyperedges into equal-label classes."""
     cache_key = (iface_rank, params.s, params.w, params.d, params.h_max,
                  vlabels, elabels)
     if cache_key in _SHAPE_CACHE:
@@ -263,8 +263,7 @@ def head_shapes(iface_rank: int, params: ParamTuple,
                     base = GraphWithInterface(graph, iface)
                     for k in range(params.s + 1):
                         for ports_multi in combinations_with_replacement(port_choices, k):
-                            for shape in _shapes_for(base, ports_multi, seen):
-                                shapes.append(shape)
+                            shapes.extend(_shapes_for(base, ports_multi, seen))
     _SHAPE_CACHE[cache_key] = shapes
     return shapes
 
@@ -284,27 +283,30 @@ def _shapes_for(base: GraphWithInterface, ports_multi, seen):
             pattern = GraphPattern(base, hyper)
         except ValueError:
             continue
-        shape = make_shape(pattern)
-        best = min(shape.head_keys)
+        best = min(key for _, key in pattern.renaming_keys)
         if best in seen:
             continue
         seen.add(best)
-        yield shape
+        yield pattern
 
 
-def make_shape(pattern: GraphPattern) -> HeadShape:
-    """Wrap a head pattern as a shape."""
-    occurrences = tuple(
-        (h.label, h.rank, tuple(pattern.base.graph.vlabel[p] for p in h.ports))
-        for h in pattern.hyperedges)
-    return HeadShape(pattern, occurrences)
-
-
-def candidate_key(cand: ClauseCandidate) -> tuple:
-    """The ``clause_key`` of the clause the candidate builds."""
-    return clause_key(cand.head.predicate.name, cand.shape.pattern,
-                      [(var, labels, cls.predicate.name)
-                       for var, labels, cls in cand.body])
+def _bodies(pattern: GraphPattern, by_rank: dict) -> list:
+    """Every body of a head pattern over the classes in ``by_rank``: one
+    (variable, port labels, class) entry per hyperedge, in hyperedge order,
+    where each variable's entries take a multiset of classes of its rank."""
+    vlabel = pattern.base.graph.vlabel
+    occurrences = [(h.label, tuple(vlabel[p] for p in h.ports))
+                   for h in pattern.hyperedges]
+    uses = Counter(var for var, _ in occurrences)
+    ranks = pattern.variables()  # sorted by label
+    choices = [combinations_with_replacement(by_rank.get(rank, []), uses[var])
+               for var, rank in ranks.items()]
+    bodies = []
+    for combo in product(*choices):
+        picks = {var: iter(chosen) for var, chosen in zip(ranks, combo)}
+        bodies.append(tuple((var, labels, next(picks[var]))
+                            for var, labels in occurrences))
+    return bodies
 
 
 def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
@@ -320,42 +322,16 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
     shape_counts: Counter = Counter()
     for head_rank in sorted(by_rank):
         shapes = head_shapes(head_rank, params, vlabels, elabels)
-        shape_counts.update((head_rank, shape.body_len) for shape in shapes)
+        shape_counts.update((head_rank, len(p.hyperedges)) for p in shapes)
+        bodies = [(pattern, _bodies(pattern, by_rank)) for pattern in shapes
+                  if len(pattern.hyperedges) <= params.t]
         for head_cls in by_rank[head_rank]:
-            for shape in shapes:
-                if shape.body_len > params.t:
-                    continue
-                groups: dict = {}
-                for var, rank, labels in shape.occurrences:
-                    groups.setdefault(var, []).append((rank, labels))
-                assignable = True
-                group_choices = []
-                for var in sorted(groups):
-                    rank = groups[var][0][0]
-                    pool = by_rank.get(rank, [])
-                    if not pool:
-                        assignable = False
-                        break
-                    group_choices.append(
-                        (var, list(combinations_with_replacement(pool, len(groups[var])))))
-                if not assignable:
-                    continue
-                for combo in product(*(choices for _, choices in group_choices)):
-                    assignment: dict = {}
-                    for (var, _), chosen in zip(group_choices, combo):
-                        assignment[var] = list(chosen)
-                    body = []
-                    counters = {var: 0 for var in assignment}
-                    for var, rank, labels in shape.occurrences:
-                        cls = assignment[var][counters[var]]
-                        counters[var] += 1
-                        body.append((var, labels, cls))
-                    cand = ClauseCandidate(head_cls, shape, tuple(body))
-                    cand.key = candidate_key(cand)
-                    if cand.key in seen:
-                        continue
-                    seen.add(cand.key)
-                    candidates.append(cand)
+            for pattern, pattern_bodies in bodies:
+                for body in pattern_bodies:
+                    cand = ClauseCandidate(head_cls, pattern, body)
+                    if cand.key not in seen:
+                        seen.add(cand.key)
+                        candidates.append(cand)
     candidates.sort(key=lambda c: c.key)
     return candidates, max(shape_counts.values(), default=0)
 
@@ -371,15 +347,16 @@ class _AdmissionMemo:
     What a growing residual cannot change is carried from one construction
     to the next: the candidate list and shape constant, while the basis
     keys, the bounds and the alphabets stay the same; realizations, keyed by
-    (head shape, residual classes) and canonicalised once in ``realized``;
+    (head pattern, residual classes) and canonicalised once in ``realized``;
     the composed query graphs (``composed``), keyed by (row class, column
     class) for table cells, by (head class, ground head) for facts and by
     (head class, realized id) for admission heads; and the clause system,
-    while the basis keys and the admitted candidates' keys stay the same.
-    Oracle verdicts (``head_memo``) are kept for one construction only, so
-    every query, family and counter is the one a construction from scratch
-    makes; a query built on a carried realization may differ from the
-    scratch one in its vertex ids only."""
+    while the basis keys and the admitted candidates' keys stay the same,
+    built from the clause each candidate keeps.  Oracle verdicts
+    (``head_memo``) are kept for one construction only, so every query,
+    family and counter is the one a construction from scratch makes; a query
+    built on a carried realization may differ from the scratch one in its
+    vertex ids only."""
 
     def __init__(self):
         self.realize_memo: dict = {}
@@ -392,7 +369,7 @@ class _AdmissionMemo:
     def candidates(self, basis: Sequence[RepClass], params: ParamTuple,
                    vlabels: tuple, elabels: tuple):
         """``enumerate_candidates`` and the candidates' indices grouped by
-        (head shape, body), in order of first appearance; reused while the
+        (head pattern, body), in order of first appearance; reused while the
         inputs are unchanged."""
         key = (tuple(c.key for c in basis), params, vlabels, elabels)
         if self._candidates is None or self._candidates[0] != key:
@@ -400,7 +377,7 @@ class _AdmissionMemo:
                 basis, params, vlabels, elabels)
             groups: dict = {}
             for i, cand in enumerate(candidates):
-                groups.setdefault((cand.shape.pattern.key, cand.body), []).append(i)
+                groups.setdefault((cand.pattern.key, cand.body), []).append(i)
             self._candidates = (key, candidates, shape_constant,
                                 list(groups.values()))
         return self._candidates[1:]
@@ -437,7 +414,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
                 oracle: Callable[[LabeledGraph], bool],
                 memo: Optional[_AdmissionMemo] = None,
                 counter: Optional[Counter] = None) -> list:
-    """``admit_clause`` for candidates that share a head shape and a body and
+    """``admit_clause`` for candidates that share a head pattern and a body and
     differ only in their head class, one verdict per candidate.
 
     The families and their realizations depend only on the shared part, so
@@ -453,7 +430,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
     counter = counter if counter is not None else Counter()
     first = group[0]
     if first.is_fact:
-        ground = first.shape.pattern.as_interface_graph()
+        ground = first.pattern.as_interface_graph()
         verdicts = []
         for cand in group:
             composed = _composed(memo.composed, (cand.head, ground),
@@ -479,7 +456,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
         counter["families"] += len(group) * prod(map(len, per_var_cols))
         return admitted
 
-    shape_id = first.shape.pattern.key
+    shape_id = first.pattern.key
     cols = table.cols
     alive = list(range(len(group)))
     for family in product(*per_var_cols):
@@ -492,7 +469,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
             realized_id = memo.realize_memo[rkey]
         else:
             theta = {var: cls.fragment for var, cls in zip(variables, classes)}
-            realized = realize(first.shape.pattern, theta)
+            realized = realize(first.pattern, theta)
             if realized is None:
                 realized_id = None
             else:

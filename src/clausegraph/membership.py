@@ -341,8 +341,12 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class DerivationNode:
+    """One node of a derivation tree.  Trees can be as deep as the graph is
+    large, so nothing here recurses: ``replay`` walks the tree as one flat
+    list, ``repr`` shows one node, and nodes compare by identity."""
+
     predicate: str
     clause_index: int
     graph: GraphWithInterface
@@ -350,15 +354,21 @@ class DerivationNode:
 
     def replay(self, gamma: ClauseSystem) -> Optional[GraphWithInterface]:
         """Re-realize the recorded tree bottom-up; the result should be
-        isomorphic to the recorded graph."""
-        clause = gamma.clauses[self.clause_index]
-        theta = {}
-        for var, child in self.children.items():
-            sub = child.replay(gamma)
-            if sub is None:
-                return None
-            theta[var] = sub
-        return realize(clause.head.pattern, theta)
+        isomorphic to the recorded graph, and is None if some node's
+        realization is undefined."""
+        order = [self]  # breadth-first, so every child comes after its parent
+        for node in order:
+            order.extend(node.children.values())
+        replayed = {}
+        for node in reversed(order):
+            theta = {var: replayed[child] for var, child in node.children.items()}
+            replayed[node] = None if None in theta.values() else realize(
+                gamma.clauses[node.clause_index].head.pattern, theta)
+        return replayed[self]
+
+    def __repr__(self):
+        return (f"DerivationNode({self.predicate!r}, clause={self.clause_index}, "
+                f"children={sorted(self.children)})")
 
 
 def _expand_tree(gamma: ClauseSystem, derived: DerivedAtomSet,

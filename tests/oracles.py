@@ -569,7 +569,7 @@ def admit_each(candidates, table, oracle):
     for cand in candidates:
         if not cand.body:
             composed = compose(cand.head.fragment,
-                               cand.shape.pattern.as_interface_graph())
+                               cand.pattern.as_interface_graph())
             if composed is not None:
                 totals["fact_queries"] += 1
             records.append(AdmissionRecord(
@@ -586,11 +586,11 @@ def admit_each(candidates, table, oracle):
         verdict, families, mine = True, 0, set()
         for family in product(*per_var):
             families += 1
-            rkey = (cand.shape.pattern.key, family)
+            rkey = (cand.pattern.key, family)
             if rkey not in realized:
                 theta = {var: table.cols[ci].fragment
                          for var, ci in zip(variables, family)}
-                graph = realize(cand.shape.pattern, theta)
+                graph = realize(cand.pattern, theta)
                 realized[rkey] = graph, None if graph is None else canonical_key(graph)
             graph, graph_key = realized[rkey]
             if graph is None:

@@ -31,8 +31,6 @@ from clausegraph.learner import (
     ObservationTable,
     RepClass,
     admit_clause,
-    candidate_key,
-    make_shape,
 )
 from clausegraph.graphs import GraphPattern, VariableHyperedge
 from clausegraph.membership import member
@@ -345,9 +343,8 @@ def test_criterion_6_spurious_clause_elimination(convergence_runs):
     head_base = GraphWithInterface(
         graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]), ())
     pattern = GraphPattern(head_base, [VariableHyperedge("x", (0, 1))])
-    cand = ClauseCandidate(EMPTY_CLASS, make_shape(pattern),
+    cand = ClauseCandidate(EMPTY_CLASS, pattern,
                            (("x", ("a", "a"), isolated_pair),))
-    cand.key = candidate_key(cand)
 
     rows = [EMPTY_CLASS, isolated_pair]
     with_witness = ObservationTable(rows, [edge_both, witness], teacher.answer)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -281,6 +282,38 @@ def test_learn_writes_a_kept_hypothesis_once(capsys, tmp_path, monkeypatch):
     trace = json.loads((out_dir / "trace.json").read_text())
     assert [s["hypothesis_file"] for s in trace["stages"]] == \
         [f"stage_{i:03d}.json" for i in range(1, 7)]
+
+
+# sha256 of every file a seeded ``learn`` run writes, with the input paths
+# in trace.json masked; pins clause order, variable names and vertex ids
+# in the stage files, which counters and digests do not see
+_TWIN_STAGE_1 = "e93fec191d5b3b6afa8c650dcf537cf72fccc744d355821607225cf3120af7ad"
+_TWIN_STAGE_2 = "d673a5e6a7e5fe97b3fe2ff8da8a3dbd7c1e4cb0e9e2cc33f57de8448bdce713"
+_PATH_STAGE = "9e31af48ab8f8c4e580a6892fd11c1aa654de3b2893a1e94ad3e32026debc423"
+
+
+@pytest.mark.parametrize("name, cap, stages, stage_files, trace", [
+    ("twin", 3, 6, [_TWIN_STAGE_1] + [_TWIN_STAGE_2] * 5,
+     "785bd698c256acc5449f58cbcfa3c3dc932b824a9962eb7cf843724c1ff6eabc"),
+    ("path", 5, 8, [_PATH_STAGE] * 8,
+     "2afeb5e45707e37945dc93dc692ab7309ed79c0b5f07676bc6d79e595bf10c41"),
+], ids=["twin", "path"])
+def test_learn_outputs_are_pinned(capsys, tmp_path, name, cap, stages,
+                                  stage_files, trace):
+    target = data_path(f"{name}_grammar.json")
+    params = data_path(f"{name}_params.json")
+    out_dir = tmp_path / "run"
+    assert dispatch(["learn", "--target", target, "--params", params,
+                     "--cap", str(cap), "--stages", str(stages), "--seed", "2",
+                     "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    written = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    masked = written.pop("trace.json")
+    masked = masked.replace(json.dumps(target).encode(), b'"TARGET"')
+    masked = masked.replace(json.dumps(params).encode(), b'"PARAMS"')
+    assert hashlib.sha256(masked).hexdigest() == trace
+    assert {f: hashlib.sha256(data).hexdigest() for f, data in written.items()} == \
+        {f"stage_{i:03d}.json": want for i, want in enumerate(stage_files, 1)}
 
 
 def test_learn_replay_detects_tampering(capsys, tmp_path):

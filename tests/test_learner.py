@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from clausegraph.clauses import ParamTuple
+from clausegraph.clauses import Atom, Clause, ParamTuple
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
     GraphPattern,
@@ -12,6 +12,7 @@ from clausegraph.graphs import (
     VariableHyperedge,
     closed,
     graph_from_parts,
+    star_pattern,
 )
 import clausegraph.learner as learner_mod
 import clausegraph.teacher as teacher_mod
@@ -23,12 +24,10 @@ from clausegraph.learner import (
     RepClass,
     admit_clause,
     admit_group,
-    candidate_key,
     collapse_reps,
     construct_gamma,
     enumerate_candidates,
     gamma_digest,
-    make_shape,
     with_empty_class,
 )
 from clausegraph.boundary import enumerate_brep
@@ -147,7 +146,7 @@ def test_forced_fact_candidates():
     cands, _ = enumerate_candidates([EMPTY_CLASS], params, ("a",), ())
     # empty head and the single-vertex head, nothing else
     assert len(cands) == 2 and all(c.is_fact for c in cands)
-    sizes = sorted(c.shape.pattern.base.graph.n for c in cands)
+    sizes = sorted(c.pattern.base.graph.n for c in cands)
     assert sizes == [0, 1]
 
 
@@ -188,20 +187,25 @@ def test_target_shapes_appear_among_candidates():
     basis = with_empty_class(
         collapse_reps(enumerate_brep(sample, params.w, params.delta)))
     cands, _ = enumerate_candidates(basis, params, ("a",), ("e",))
-    shape_keys = {min(c.shape.head_keys) for c in cands}
+    shape_keys = {min(k for _, k in c.pattern.renaming_keys) for c in cands}
     for clause in gamma.clauses:
-        target_shape = make_shape(clause.head.pattern)
-        assert min(target_shape.head_keys) in shape_keys
+        assert min(k for _, k in clause.head.pattern.renaming_keys) in shape_keys
 
 
 def test_candidate_key_is_the_clause_key():
-    gamma, params = path_grammar()
+    # the key of a candidate is the shape key of its clause built anew, which
+    # does not depend on the order of the body
+    gamma, params = twin_grammar()
     basis = with_empty_class(collapse_reps(
         enumerate_brep([path(2), path(3), path(4)], params.w, params.delta)))
     cands, _ = enumerate_candidates(basis, params, ("a",), ("e",))
     assert len(cands) > 1000
+    assert any(len({cls.key for _, _, cls in cand.body}) > 1 for cand in cands)
     for cand in cands:
-        assert candidate_key(cand) == cand.to_clause().shape_key
+        clause = Clause(Atom(cand.head.predicate, cand.pattern),
+                        [Atom(cls.predicate, star_pattern(var, labels))
+                         for var, labels, cls in reversed(cand.body)])
+        assert cand.key == clause.shape_key
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +213,7 @@ def test_candidate_key_is_the_clause_key():
 # ---------------------------------------------------------------------------
 
 def _fact_candidate(head_cls, graph_with_iface):
-    return ClauseCandidate(head_cls, make_shape(GraphPattern(graph_with_iface)), ())
+    return ClauseCandidate(head_cls, GraphPattern(graph_with_iface), ())
 
 
 def test_fact_admitted_when_composition_in_language(path_teacher):
@@ -237,10 +241,7 @@ def _chord_candidate(body_cls):
     base = GraphWithInterface(
         graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]), ())
     pattern = GraphPattern(base, [VariableHyperedge("x", (0, 1))])
-    cand = ClauseCandidate(EMPTY_CLASS, make_shape(pattern),
-                           (("x", ("a", "a"), body_cls),))
-    cand.key = candidate_key(cand)
-    return cand
+    return ClauseCandidate(EMPTY_CLASS, pattern, (("x", ("a", "a"), body_cls),))
 
 
 def test_spurious_candidate_rejected_with_witness_in_residual(path_teacher):
@@ -280,9 +281,7 @@ def test_undefined_head_composition_rejects(path_teacher):
     edge2 = RepClass(frag([(0, "a"), (1, "a")], [(0, 1, "e")], (0, 1)))
     base = GraphWithInterface(graph_from_parts([(0, "a"), (1, "a")]), (0, 1))
     pattern = GraphPattern(base, [VariableHyperedge("x", (0, 1))])
-    cand = ClauseCandidate(bhead, make_shape(pattern),
-                           (("x", ("a", "a"), isolated_pair),))
-    cand.key = candidate_key(cand)
+    cand = ClauseCandidate(bhead, pattern, (("x", ("a", "a"), isolated_pair),))
     table = ObservationTable([EMPTY_CLASS, bhead, isolated_pair],
                              [edge2], teacher.answer)
     assert table.cell(2, 0) is True
@@ -558,6 +557,33 @@ def test_unchanged_basis_reuses_candidates_and_system(monkeypatch):
     assert len(calls) == distinct < len(built)
 
 
+def test_a_candidate_keeps_one_clause_across_hypotheses():
+    """Each hypothesis holds, in order, the very clauses its admitted
+    candidates built, and two hypotheses over one candidate list share the
+    clause objects of the candidates both admit."""
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=3)
+    learner = Learner(teacher.answer, params)
+    with recorded_constructions() as built:
+        learner.run(teacher.presentation(seed=2), 3)
+    for cons in built:
+        clauses = [cand.to_clause() for cand in cons.admitted]
+        assert len(clauses) == len(cons.hypothesis.clauses)
+        assert all(a is b for a, b in zip(clauses, cons.hypothesis.clauses))
+    pairs = [(a, b) for a, b in zip(built, built[1:])
+             if [c.key for c in a.basis] == [c.key for c in b.basis]]
+    assert pairs
+    for a, b in pairs:
+        assert a.hypothesis is not b.hypothesis
+        in_a = {cand.key: cand for cand in a.admitted}
+        shared = [cand for cand in b.admitted if in_a.get(cand.key) is cand]
+        assert len(shared) > 1000
+        clauses_a = {cl.shape_key: cl for cl in a.hypothesis.clauses}
+        clauses_b = {cl.shape_key: cl for cl in b.hypothesis.clauses}
+        for cand in shared:
+            assert clauses_a[cand.key] is cand.to_clause() is clauses_b[cand.key]
+
+
 # every stage summary of a short seeded path run and twin run, hashed; the
 # values were taken before the stage counters moved into one construction
 # record, so any drift in a counter, a digest or a size fails here
@@ -658,7 +684,7 @@ def test_grouped_admission_matches_one_by_one(builder, cap, stages):
         assert totals.items() <= cons.counters.items()
         groups: dict = {}
         for cand, rec in zip(candidates, records):
-            key = (cand.shape.pattern.key, cand.body)
+            key = (cand.pattern.key, cand.body)
             groups.setdefault(key, []).append((cand, rec))
         memo, asked = learner_mod._AdmissionMemo(), set()
         for members in groups.values():

@@ -10,6 +10,7 @@ from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
     GraphPattern,
     GraphWithInterface,
+    canonical_key,
     closed,
     graph_from_parts,
     iso_check,
@@ -344,16 +345,21 @@ def _stack_depth() -> int:
 
 def test_deep_derivation_tree_needs_no_deep_stack():
     # a 200-vertex all-a twin path derives through 100 nested clauses; the
-    # tree is built and printed within a stack far shallower than that
+    # tree is built, printed, shown and replayed within a stack far
+    # shallower than that
     gamma, params = twin_grammar()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 80)
     try:
         ok, tree = member(gamma, gamma.start, path_graph(200), params, want_tree=True)
         text = format_tree(tree)
+        shown = repr(tree)
+        replayed = tree.replay(gamma)
     finally:
         sys.setrecursionlimit(limit)
     assert ok
+    assert shown == "DerivationNode('p', clause=2, children=['x'])"
+    assert canonical_key(replayed) == canonical_key(closed(path_graph(200)))
     lines = text.split("\n")
     assert len(lines) == 1 + 2 * 100  # 101 nodes, each below the root named by a variable
     assert lines[0] == "p derives [n=200, m=199, rank=0] via clause 2"
