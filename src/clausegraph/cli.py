@@ -303,9 +303,12 @@ def _cmd_replay(args) -> int:
 
 
 def dispatch(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("CLAUSEGRAPH_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("CLAUSEGRAPH_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: CLAUSEGRAPH_LOG: unknown level {level!r}", file=sys.stderr)
+        return 1
+    logging.basicConfig(level=level.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

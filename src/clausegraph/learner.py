@@ -347,7 +347,9 @@ class _AdmissionMemo:
     What a growing residual cannot change is carried from one construction
     to the next: the candidate list and shape constant, while the basis
     keys, the bounds and the alphabets stay the same; realizations, keyed by
-    (head pattern, residual classes) and canonicalised once in ``realized``;
+    (head pattern, residual classes), each distinct realized graph (equal
+    vertex ids, labels, edges and interface) canonicalised once in
+    ``realized_keys`` and the first graph of each key kept in ``realized``;
     the composed query graphs (``composed``), keyed by (row class, column
     class) for table cells, by (head class, ground head) for facts and by
     (head class, realized id) for admission heads; and the clause system,
@@ -362,6 +364,7 @@ class _AdmissionMemo:
         self.realize_memo: dict = {}
         self.head_memo: dict = {}
         self.realized: dict = {}
+        self.realized_keys: dict = {}
         self.composed: dict = {}
         self._candidates = None  # (key, candidates, shape constant)
         self._system = None  # (key, ClauseSystem)
@@ -473,7 +476,9 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
             if realized is None:
                 realized_id = None
             else:
-                realized_id = canonical_key(realized)
+                realized_id = memo.realized_keys.get(realized)
+                if realized_id is None:
+                    realized_id = memo.realized_keys[realized] = canonical_key(realized)
                 memo.realized.setdefault(realized_id, realized)
             memo.realize_memo[rkey] = realized_id
         if realized_id is None:

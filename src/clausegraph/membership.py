@@ -4,12 +4,15 @@ generation.
 One semi-naive loop (``saturate``) derives the least set of (predicate,
 fragment) pairs over a universe of fragments.  Membership runs it over a
 fixed universe: the input graph's boundary-attached fragments of rank at
-most w (``sub_w``, which classes each boundary specification by its parts
-and builds only the first of each class), plus the whole graph with empty
-interface, and a realized graph counts only when it is already in that
-universe.  The input graph is a
-fragment like any other, so a graph is a member exactly when the start
-predicate holds on it.  Generation (``teacher.generate_language``) runs the
+most w whose sorted interface labels are some clause head's (``sub_w``,
+which classes each boundary specification by its parts and builds only the
+first of each class), plus the whole graph with empty interface, and a
+realized graph counts only when it is already in that universe.  Only a
+fragment with a head's interface labels can be a realized head, and every
+binding is an earlier realized head, so the fragments left out would never
+be found or bound (``derive_fixpoint``).  The input graph is a fragment
+like any other, so a graph is a member exactly when the start predicate
+holds on it.  Generation (``teacher.generate_language``) runs the
 same loop over a universe that starts empty and grows by every realized
 graph within its bounds.  The loop runs over groups of rules that share a
 head pattern and their variables' pools and differ only in the head
@@ -112,10 +115,12 @@ def _part_masks(g: LabeledGraph, bset: set, incident: list) -> list:
     return out
 
 
-def sub_w(g: LabeledGraph, w: int) -> FragmentUniverse:
+def sub_w(g: LabeledGraph, w: int, heads: Optional[set] = None) -> FragmentUniverse:
     """All boundary-attached fragments of ``g`` with rank <= w, one
     representative per isomorphism class: the first fragment of each class
-    in ``boundary_specs`` order.
+    in ``boundary_specs`` order.  With ``heads``, a set of sorted interface
+    label tuples, only the boundary tuples whose sorted labels are in it are
+    kept; the rest are skipped before anything is built for them.
 
     Each specification is put in its class before anything is built.  The
     fragment F of (beta, chosen edges) is beta, its chosen beta-beta edges,
@@ -139,13 +144,19 @@ def sub_w(g: LabeledGraph, w: int) -> FragmentUniverse:
       its answer also gives the class of (answer, inverse permutation).
 
     The universe therefore holds the same fragments in the same order as
-    adding every specification's fragment would give.
+    adding every specification's fragment would give.  ``heads`` keeps or
+    skips a boundary tuple together with all its reorderings, which share
+    its sorted labels, so every class of a kept tuple keeps the same first
+    representative, and the universe is the unfiltered one with the
+    fragments of skipped tuples left out.
     """
     universe = FragmentUniverse()
     several: dict = {}  # key of a spec of several parts -> universe index
     reordered: dict = {}  # (class under sorted beta, permutation) -> index
     sorted_classes: dict = {}  # sorted beta -> class of each mask
     for beta, incident, masks in boundary_specs(g, w):
+        if heads is not None and tuple(sorted(g.vlabel[v] for v in beta)) not in heads:
+            continue
         base = tuple(sorted(beta))
         perm = None if beta == base else tuple(base.index(v) for v in beta)
         inverse = perm and tuple(beta.index(v) for v in base)
@@ -207,8 +218,9 @@ class DerivedAtomSet:
 
 def _rule_groups(gamma: ClauseSystem) -> tuple:
     """The facts as (head pattern, head predicate, clause index), the rule
-    groups in order of their first clause, and an index from pool key to
-    the groups that use it; cached on ``gamma``.
+    groups in order of their first clause, an index from pool key to the
+    groups that use it, and the set of every clause head's sorted interface
+    labels, facts included; cached on ``gamma``.
 
     A group holds the rules that share a head pattern (equal as structures,
     as the heads of clauses built from one learner candidate shape are) and
@@ -221,9 +233,10 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
     joins no group."""
     cache = getattr(gamma, "_rule_groups", None)
     if cache is None:
-        facts, groups = [], {}
+        facts, groups, heads = [], {}, set()
         for i, cl in enumerate(gamma.clauses):
             head = cl.head.predicate.name
+            heads.add(tuple(sorted(cl.head.pattern.base.interface_labels())))
             if not cl.stars:
                 facts.append((cl.head.pattern, head, i))
                 continue
@@ -245,7 +258,7 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
         for gi, (_, _, pool_keys, _) in enumerate(groups):
             for pk in set(pool_keys):
                 by_pool_key.setdefault(pk, []).append(gi)
-        cache = gamma._rule_groups = (facts, groups, by_pool_key)
+        cache = gamma._rule_groups = (facts, groups, by_pool_key, heads)
     return cache
 
 
@@ -264,7 +277,7 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
     from that realization.
     """
     out = DerivedAtomSet(universe)
-    facts, groups, by_pool_key = _rule_groups(gamma)
+    facts, groups, by_pool_key, _ = _rule_groups(gamma)
 
     for pattern, head_pred, clause_index in facts:
         res = realize(pattern, {})
@@ -333,8 +346,17 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
 
 def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtomSet:
     """Least set of derivable (predicate, fragment) pairs over ``sub_w(g)``
-    plus ``g`` itself with empty interface."""
-    universe = sub_w(g, w)
+    plus ``g`` itself with empty interface.
+
+    ``sub_w`` builds only the fragments whose sorted interface labels are
+    some clause head's.  That loses no pair: a lookup target is a realized
+    head, whose interface labels are its head pattern's, and every binding
+    is a derived pair, so an earlier lookup's target; a fragment whose
+    labels match no head is never found and never bound.  Leaving it out
+    shifts universe indices and nothing else: the kept fragments keep their
+    order and vertex ids, so every pair is derived in the same order, with
+    the same provenance."""
+    universe = sub_w(g, w, _rule_groups(gamma)[3])
     goal = universe.add(closed(g))
     out = saturate(gamma, universe, universe.find)
     out.goal = goal

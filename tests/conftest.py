@@ -86,6 +86,29 @@ def two_arm_grammar():
     return gamma, ParamTuple(m=3, s=2, t=2, w=1, d=2, delta=2, h_max=3)
 
 
+def b_headed_grammar():
+    """Paths b-a-...-a with at least one ``a``.  The fact r is the lone
+    ``b`` vertex, a head label tuple no rule head has; q holds the path
+    behind the interface (``b`` end, ``a`` end), whose labels are not in
+    sorted order."""
+    p, q, r = PredicateSymbol("p", 0), PredicateSymbol("q", 2), PredicateSymbol("r", 1)
+    lone_b = GraphWithInterface(LabeledGraph({0: "b"}, {}), (0,))
+    edge_base = GraphWithInterface(LabeledGraph({0: "b", 1: "a"}, {(0, 1): "e"}), (0, 1))
+    grow_base = GraphWithInterface(
+        LabeledGraph({0: "b", 1: "a", 2: "a"}, {(1, 2): "e"}), (0, 1))
+    close_base = GraphWithInterface(LabeledGraph({0: "b", 1: "a"}, {}), ())
+    gamma = ClauseSystem([p, q, r], [
+        Clause(Atom(r, GraphPattern(lone_b))),
+        Clause(Atom(q, GraphPattern(edge_base, [VariableHyperedge("x", (0,))])),
+               [Atom(r, star_pattern("x", ("b",)))]),
+        Clause(Atom(q, GraphPattern(grow_base, [VariableHyperedge("y", (0, 2))])),
+               [Atom(q, star_pattern("y", ("b", "a")))]),
+        Clause(Atom(p, GraphPattern(close_base, [VariableHyperedge("x", (0, 1))])),
+               [Atom(q, star_pattern("x", ("b", "a")))]),
+    ], start=p)
+    return gamma, ParamTuple(m=4, s=1, t=1, w=2, d=2, delta=2, h_max=3)
+
+
 def random_graph(rng: random.Random, n: int, max_degree: int = 3,
                  vlabels=("a", "b"), elabels=("e", "f"),
                  edge_prob: float = 0.5) -> LabeledGraph:

@@ -80,6 +80,27 @@ def test_member_tree_output(capsys, path_files):
     assert "via clause" in out
 
 
+# sha256 of ``member --tree`` output over every member up to 7 vertices of
+# each bundled grammar; pins which clause derives each node of each tree
+@pytest.mark.parametrize("builder, digest", [
+    (path_grammar, "1edffcf95fbbd7814d3135ebe620665290d8936e6a435d76f5b380fb8a597ffc"),
+    (triangle_grammar, "97f01ed720d53c3b595d26228814a4f0b0510743f97b1ed649d79b0190b2bfa8"),
+    (twin_grammar, "9957cf559ddeaed7841c721757e44e05d9ed04aa86f793f96d792f843e975a7c"),
+], ids=["path", "triangle", "twin"])
+def test_member_trees_are_pinned(capsys, tmp_path, builder, digest):
+    name = builder.__name__.removesuffix("_grammar")
+    gamma, params = builder()
+    graphs = generate_language(gamma, params, 7)
+    gpath = tmp_path / "members.json"
+    dump_graphs([closed(g) for g in graphs], gpath)
+    assert dispatch(["member", "--grammar", data_path(f"{name}_grammar.json"),
+                     "--graph", str(gpath),
+                     "--params", data_path(f"{name}_params.json"), "--tree"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("YES") == len(graphs)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_alias(capsys, path_files):
     code = dispatch(["oracle", "--grammar", path_files["grammar"],
                      "--graph", path_files["graph"],
@@ -428,14 +449,27 @@ def test_out_dir_env_override(capsys, tmp_path, monkeypatch):
     assert list(target.glob("member_*.json"))
 
 
-def _cli(argv, hash_seed: str):
-    """Run the command line in a fresh interpreter under ``PYTHONHASHSEED``."""
-    env = {k: v for k, v in os.environ.items() if k != "CLAUSEGRAPH_OUT"}
+def _cli(argv, hash_seed: str, check: bool = True, **extra_env):
+    """Run the command line in a fresh interpreter under ``PYTHONHASHSEED``
+    and the ``extra_env`` variables."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("CLAUSEGRAPH_OUT", "CLAUSEGRAPH_LOG")}
     src = str(Path(clausegraph.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PYTHONHASHSEED"] = hash_seed
+    env.update(extra_env)
     return subprocess.run([sys.executable, "-m", "clausegraph.cli", *argv],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=check)
+
+
+def test_unknown_log_level_is_domain_error():
+    """An unknown ``CLAUSEGRAPH_LOG`` level is one error line, no traceback."""
+    run = _cli(["check", "--grammar", data_path("path_grammar.json"),
+                "--params", data_path("path_params.json")], "0",
+               check=False, CLAUSEGRAPH_LOG="bogus")
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: CLAUSEGRAPH_LOG: unknown level 'bogus'\n"
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):

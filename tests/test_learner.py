@@ -657,6 +657,25 @@ def test_learn_run_keys_and_composes_each_distinct_query_once(monkeypatch):
     assert (calls["keys"], calls["compositions"]) == (295, 855)
 
 
+def test_admission_keys_each_distinct_realized_graph_once(monkeypatch):
+    """Admission canonicalises a realized graph only the first time that
+    exact graph (vertex ids and all) comes out of ``realize``.  Keying every
+    realize-memo miss would make 1,172 keys here, on 478 distinct graphs."""
+    gamma, params = path_grammar()
+    teacher = Teacher(gamma, params, size_cap=5)
+    keyed = []
+    original = learner_mod.canonical_key
+
+    def recording(g):
+        keyed.append(g)
+        return original(g)
+
+    monkeypatch.setattr(learner_mod, "canonical_key", recording)
+    learner = Learner(teacher.answer, params)
+    learner.run(teacher.presentation(seed=2), 8)
+    assert len(keyed) == len(set(keyed)) == len(learner._memo.realized_keys) == 478
+
+
 # ---------------------------------------------------------------------------
 # admission shared across candidates with one body
 # ---------------------------------------------------------------------------

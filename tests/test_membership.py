@@ -24,8 +24,8 @@ from clausegraph.membership import (
 )
 from clausegraph.teacher import generate_language
 
-from .conftest import (learned_hypothesis, random_graph, rank0_grammar,
-                       two_arm_grammar)
+from .conftest import (b_headed_grammar, learned_hypothesis, random_graph,
+                       rank0_grammar, two_arm_grammar)
 from .enumeration import all_graphs_upto
 from .oracles import TopDownOracle, brute_iso, saturate_each, sub_w_each
 
@@ -411,11 +411,16 @@ def test_member_agrees_with_topdown_oracle(builder):
 # saturation over rule groups against the one-clause-at-a-time reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("builder", [
+_SYSTEMS = pytest.mark.parametrize("builder", [
     path_grammar, triangle_grammar, twin_grammar, rank0_grammar, two_arm_grammar,
+    b_headed_grammar,
     lambda: learned_hypothesis(twin_grammar, 5),
     lambda: learned_hypothesis(path_grammar, 5),
-], ids=["path", "triangle", "twin", "rank0", "two_arm", "learned_twin", "learned_path"])
+], ids=["path", "triangle", "twin", "rank0", "two_arm", "b_headed", "learned_twin",
+        "learned_path"])
+
+
+@_SYSTEMS
 def test_grouped_saturation_matches_per_clause(builder):
     """On every member up to 7 vertices and on the spot graphs, saturating
     over rule groups derives exactly the pairs the per-clause loop does."""
@@ -427,3 +432,37 @@ def test_grouped_saturation_matches_per_clause(builder):
         got = saturate(gamma, universe, universe.find).derived
         want = saturate_each(gamma, universe, universe.find)
         assert set(got) == set(want), f"n={g.n}, m={g.m}"
+
+
+# ---------------------------------------------------------------------------
+# the head-label filter of derive_fixpoint against the unfiltered universe
+# ---------------------------------------------------------------------------
+
+@_SYSTEMS
+def test_head_label_filter_derives_the_unfiltered_pairs(builder):
+    """On every member up to 7 vertices and on the spot graphs,
+    ``derive_fixpoint``, whose ``sub_w`` keeps only fragments with some
+    head's sorted interface labels, derives the same (predicate, fragment
+    class) pairs and the same goal verdict as saturating the unfiltered
+    ``sub_w`` plus the whole graph."""
+    gamma, params = builder()
+    start = gamma.start.name
+    for g in generate_language(gamma, params, 7) + list(_spot_graphs()):
+        got = derive_fixpoint(gamma, g, params.w)
+        universe = sub_w(g, params.w)
+        goal = universe.add(closed(g))
+        want = saturate(gamma, universe, universe.find)
+        assert {(p, got.universe[i].key) for p, i in got.derived} == \
+            {(p, universe[i].key) for p, i in want.derived}, f"n={g.n}, m={g.m}"
+        assert got.holds(start, got.goal) == want.holds(start, goal)
+
+
+def test_head_labels_leave_out_the_rank_1_fragments_of_a_path():
+    """The path grammar has no rank-1 head, so the filtered universe is the
+    unfiltered one without its rank-1 fragments, in the same order and with
+    the same vertex ids."""
+    gamma, _ = path_grammar()
+    g = path_graph(6)
+    got = sub_w(g, 2, membership_mod._rule_groups(gamma)[3]).fragments
+    full = sub_w(g, 2).fragments
+    assert got == [f for f in full if f.rank != 1] and len(got) < len(full)
