@@ -5,13 +5,12 @@ touching them; a valid one determines a unique boundary-attached fragment:
 the chosen vertices, everything reachable behind the chosen edges once the
 boundary is deleted, and the edges among those.  ``boundary_specs`` walks
 every specification of bounded rank of one graph in one fixed order, and
-``enumerate_brep`` lists them over a sample, fragments included.
+``enumerate_brep`` lists them over a sample with their fragments (CLI ``brep``).
 
 Fragments keep their source vertex ids, so rebuilding one from the same
 specification gives an identical object; deduplication up to isomorphism is
-the caller's business (the learner collapses representations through the
-fragments' canonical keys; ``membership.sub_w`` classes specifications by
-their parts before building them).
+the caller's business: ``membership.sub_w`` classes specifications by their
+parts before building them, and the learner takes its classes from it.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from .formats import (
     load_graphs,
     load_params,
     dump_grammar,
+    read_json,
 )
 from .graphs import closed, key_digest
 from .learner import Learner
@@ -194,7 +195,7 @@ def _checked_config(loaded, flags) -> dict:
 
 
 def _learn_config(args) -> dict:
-    loaded = json.loads(Path(args.config).read_text()) if args.config else {}
+    loaded = read_json(args.config) if args.config else {}
     flags = {key: getattr(args, flag) for key, flag in _CONFIG_FLAGS.items()
              if flag is not None and getattr(args, flag) is not None}
     return _checked_config(loaded, flags)
@@ -273,7 +274,7 @@ def _agreement(hypothesis, teacher: Teacher, cap: int) -> dict:
 
 
 def _cmd_replay(args) -> int:
-    trace = json.loads(Path(args.replay).read_text())
+    trace = read_json(args.replay)
     if not isinstance(trace, dict):
         raise ValueError("trace: expected an object")
     config = _checked_config(trace.get("config"), None)

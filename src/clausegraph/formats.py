@@ -25,6 +25,15 @@ from .graphs import (
 PathLike = Union[str, Path]
 
 
+def read_json(path: PathLike):
+    """The JSON value in a file; nesting too deep is a ``ValueError``."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _expect(cond: bool, field: str, message: str):
     if not cond:
         raise ValueError(f"{field}: {message}")
@@ -93,7 +102,7 @@ def graph_from_obj(obj, field: str = "graph") -> GraphWithInterface:
 
 def load_graphs(path: PathLike) -> list:
     """One graph object or a list of them; returns a list either way."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if isinstance(data, dict):
         return [graph_from_obj(data)]
     _expect(isinstance(data, list), "file", "expected a graph object or a list of them")
@@ -192,7 +201,7 @@ def grammar_from_obj(obj) -> ClauseSystem:
 
 
 def load_grammar(path: PathLike) -> ClauseSystem:
-    return grammar_from_obj(json.loads(Path(path).read_text()))
+    return grammar_from_obj(read_json(path))
 
 
 def dump_grammar(gamma: ClauseSystem, path: PathLike):
@@ -226,7 +235,7 @@ def params_from_obj(obj) -> ParamTuple:
 
 
 def load_params(path: PathLike) -> ParamTuple:
-    return params_from_obj(json.loads(Path(path).read_text()))
+    return params_from_obj(read_json(path))
 
 
 def dump_params(params: ParamTuple, path: PathLike):

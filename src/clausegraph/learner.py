@@ -22,13 +22,14 @@ is still asked, so the stage counters are those of a rebuild from scratch,
 one candidate at a time; a query asked again is the graph composed the first
 time, which the teacher answers from its memos without keying it again.
 
-Representations with isomorphic fragments are collapsed into one class:
-every admission test depends on a representation only through its fragment,
-so the collapse changes no outcome while keeping the hypothesis small.  When
-a tested family's head composition is undefined, the candidate is rejected,
-mirroring how undefined compositions read as "not in the language"
-everywhere else; genuine clauses over faithful context representatives never
-trip this, since their head compositions land inside the language.
+Representations with isomorphic fragments form one class, taken from
+``membership.sub_w``: every admission test depends on a representation only
+through its fragment, so this changes no outcome and keeps the hypothesis
+small.  When a tested family's head composition is undefined, the candidate
+is rejected, mirroring how undefined compositions read as "not in the
+language" everywhere else; genuine clauses over faithful context
+representatives never trip this, since their head compositions land inside
+the language.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from typing import Callable, Optional, Sequence
 
-from .boundary import brep_for_graph
+from .boundary import boundary_specs
 from .clauses import (Atom, Clause, ClauseSystem, ParamTuple,
                       predicate_for_fragment)
 from .graphs import (
@@ -57,40 +58,35 @@ from .graphs import (
     realize,
     star_pattern,
 )
-from .membership import member
+from .membership import member, sub_w
 
 
 class RepClass:
     """One isomorphism class of boundary representations: the representative
-    fragment, its canonical key, and how many raw representations collapsed
-    into it."""
+    fragment and its canonical key."""
 
-    __slots__ = ("fragment", "key", "rank", "count", "predicate")
+    __slots__ = ("fragment", "key", "rank", "predicate")
 
-    def __init__(self, fragment: GraphWithInterface, count: int = 1):
+    def __init__(self, fragment: GraphWithInterface):
         self.fragment = fragment
         self.key = fragment.key
         self.rank = fragment.rank
-        self.count = count
         self.predicate = predicate_for_fragment(fragment)
 
     def __repr__(self):
-        return f"RepClass({self.predicate.name}, count={self.count})"
+        return f"RepClass({self.predicate.name})"
 
 
 EMPTY_CLASS = RepClass(EMPTY_INTERFACE_GRAPH)
 
 
-def collapse_reps(reps) -> list:
-    """Group raw representations by fragment canonical key; deterministic
-    order by (rank, key)."""
+def collapse_reps(fragments) -> list:
+    """One class per fragment canonical key, the first fragment of each kept;
+    deterministic order by (rank, key)."""
     by_key: dict = {}
-    for rep in reps:
-        key = rep.fragment.key
-        if key in by_key:
-            by_key[key].count += 1
-        else:
-            by_key[key] = RepClass(rep.fragment)
+    for fragment in fragments:
+        if fragment.key not in by_key:
+            by_key[fragment.key] = RepClass(fragment)
     return sorted(by_key.values(), key=lambda c: (c.rank, c.key))
 
 
@@ -666,16 +662,15 @@ class Learner:
         return list(self._sample.values())
 
     def _add_classes(self, g: LabeledGraph):
-        """Merge the representations of a graph new to the sample into the
-        classes.  The sample only grows by appending, so keeping the first
-        class seen for a key keeps the representative that collapsing the
-        whole sample would pick."""
-        reps = brep_for_graph(g, self.params.w, source=len(self._sample) - 1)
-        self._raw_reps += len(reps)
-        for cls in collapse_reps(reps):
-            known = self._classes.setdefault(cls.key, cls)
-            if known is not cls:
-                known.count += cls.count
+        """Merge the classes of a graph new to the sample into the classes.
+        ``sub_w`` keeps each class's first fragment in ``boundary_specs``
+        order and the sample only grows by appending, so the first class seen
+        for a key holds the fragment that collapsing every representation of
+        the whole sample would keep."""
+        w = self.params.w
+        self._raw_reps += sum(len(masks) for _, _, masks in boundary_specs(g, w))
+        for cls in collapse_reps(sub_w(g, w).fragments):
+            self._classes.setdefault(cls.key, cls)
         self.residual = sorted(self._classes.values(),
                                key=lambda c: (c.rank, c.key))
 

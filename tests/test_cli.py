@@ -125,6 +125,23 @@ def test_unreadable_file_is_domain_error(capsys, path_files):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["member", "--grammar", "{grammar}", "--graph", "{deep}", "--params", "{params}"],
+    ["member", "--grammar", "{deep}", "--graph", "{graph}", "--params", "{params}"],
+    ["member", "--grammar", "{grammar}", "--graph", "{graph}", "--params", "{deep}"],
+    ["learn", "--config", "{deep}"],
+    ["learn", "--replay", "{deep}"],
+], ids=["graph", "grammar", "params", "config", "replay"])
+def test_deeply_nested_json_is_domain_error(capsys, tmp_path, path_files, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    names = {**path_files, "deep": str(deep)}
+    assert dispatch([arg.format(**names) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {deep}: JSON nested too deeply to decode\n"
+    assert captured.out == ""
+
+
 def test_invalid_grammar_is_domain_error(capsys, tmp_path, path_files):
     obj = grammar_to_obj(load_grammar(path_files["grammar"]))
     obj["clauses"][1]["body"] = []

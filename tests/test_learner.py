@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from clausegraph.graphs import (
     graph_from_parts,
     star_pattern,
 )
+import clausegraph.boundary as boundary_mod
 import clausegraph.learner as learner_mod
 import clausegraph.teacher as teacher_mod
 from clausegraph.learner import (
@@ -30,11 +32,11 @@ from clausegraph.learner import (
     gamma_digest,
     with_empty_class,
 )
-from clausegraph.boundary import enumerate_brep
-from clausegraph.membership import member
+from clausegraph.boundary import boundary_specs, brep_for_graph, enumerate_brep
+from clausegraph.membership import member, sub_w
 from clausegraph.teacher import Teacher
 
-from .conftest import recorded_constructions, two_arm_grammar
+from .conftest import random_graph, recorded_constructions, two_arm_grammar
 from .oracles import admit_each
 
 
@@ -46,6 +48,12 @@ def path(n, labels=None):
 
 def frag(vertices, edges, iface):
     return GraphWithInterface(graph_from_parts(vertices, edges), iface)
+
+
+def classes_of(sample, w, delta):
+    """The classes of every raw representation of ``sample``, each kept by
+    its first fragment: what the learner's classes must equal."""
+    return collapse_reps(rep.fragment for rep in enumerate_brep(sample, w, delta))
 
 
 @pytest.fixture()
@@ -60,17 +68,18 @@ def path_teacher():
 
 def test_collapse_merges_isomorphic_fragments():
     reps = enumerate_brep([path(2)], 1, delta=2)
-    classes = collapse_reps(reps)
+    classes = collapse_reps(rep.fragment for rep in reps)
     # five raw reps (empty, two isolated endpoints, two whole-edge picks)
-    # collapse to three classes
+    # collapse to three classes, each kept by its first fragment
     assert len(reps) == 5
     assert len(classes) == 3
-    assert sum(c.count for c in classes) == 5
+    for cls in classes:
+        assert cls.fragment is next(rep.fragment for rep in reps
+                                    if rep.fragment.key == cls.key)
 
 
 def test_with_empty_class_is_idempotent():
-    reps = enumerate_brep([path(2)], 1, delta=2)
-    classes = with_empty_class(collapse_reps(reps))
+    classes = with_empty_class(classes_of([path(2)], 1, delta=2))
     assert classes == with_empty_class(classes)
     assert sum(1 for c in classes if c.key == EMPTY_CLASS.key) == 1
 
@@ -114,7 +123,7 @@ def test_table_context_cell_true(path_teacher):
 
 def test_table_query_budget(path_teacher):
     teacher, params = path_teacher
-    classes = collapse_reps(enumerate_brep([path(3)], 2, delta=2))
+    classes = classes_of([path(3)], 2, delta=2)
     rows = with_empty_class(classes)
     table = ObservationTable(rows, classes, teacher.answer)
     assert table.queries <= len(rows) * len(classes)
@@ -124,7 +133,7 @@ def test_table_cells_reverify_against_decision_procedure(path_teacher):
     from clausegraph.graphs import compose
     teacher, params = path_teacher
     gamma = teacher.target
-    classes = collapse_reps(enumerate_brep([path(2), path(3)], 2, delta=2))
+    classes = classes_of([path(2), path(3)], 2, delta=2)
     rows = with_empty_class(classes)
     table = ObservationTable(rows, classes, teacher.answer)
     for ri, row in enumerate(rows):
@@ -153,7 +162,7 @@ def test_forced_fact_candidates():
 def test_enumeration_respects_body_bound():
     gamma, params = twin_grammar()
     basis = with_empty_class(
-        collapse_reps(enumerate_brep([path(2)], params.w, params.delta)))
+        classes_of([path(2)], params.w, params.delta))
     tight = ParamTuple(m=4, s=2, t=1, w=1, d=2, delta=2, h_max=2)
     cands, _ = enumerate_candidates(basis, tight, ("a",), ("e",))
     assert all(len(c.body) <= 1 for c in cands)
@@ -162,7 +171,7 @@ def test_enumeration_respects_body_bound():
 def test_enumeration_is_deterministic_and_deduped():
     gamma, params = path_grammar()
     basis = with_empty_class(
-        collapse_reps(enumerate_brep([path(3)], params.w, params.delta)))
+        classes_of([path(3)], params.w, params.delta))
     c1, _ = enumerate_candidates(basis, params, ("a",), ("e",))
     c2, _ = enumerate_candidates(basis, params, ("a",), ("e",))
     keys = [c.key for c in c1]
@@ -173,7 +182,7 @@ def test_enumeration_is_deterministic_and_deduped():
 def test_candidate_count_bound():
     gamma, params = path_grammar()
     basis = with_empty_class(
-        collapse_reps(enumerate_brep([path(4)], params.w, params.delta)))
+        classes_of([path(4)], params.w, params.delta))
     cands, shape_constant = enumerate_candidates(basis, params, ("a",), ("e",))
     n_f = len(basis)
     bound = shape_constant * sum(
@@ -185,7 +194,7 @@ def test_target_shapes_appear_among_candidates():
     gamma, params = path_grammar()
     sample = [path(2), path(3), path(4)]
     basis = with_empty_class(
-        collapse_reps(enumerate_brep(sample, params.w, params.delta)))
+        classes_of(sample, params.w, params.delta))
     cands, _ = enumerate_candidates(basis, params, ("a",), ("e",))
     shape_keys = {min(k for _, k in c.pattern.renaming_keys) for c in cands}
     for clause in gamma.clauses:
@@ -196,8 +205,8 @@ def test_candidate_key_is_the_clause_key():
     # the key of a candidate is the shape key of its clause built anew, which
     # does not depend on the order of the body
     gamma, params = twin_grammar()
-    basis = with_empty_class(collapse_reps(
-        enumerate_brep([path(2), path(3), path(4)], params.w, params.delta)))
+    basis = with_empty_class(classes_of(
+        [path(2), path(3), path(4)], params.w, params.delta))
     cands, _ = enumerate_candidates(basis, params, ("a",), ("e",))
     assert len(cands) > 1000
     assert any(len({cls.key for _, _, cls in cand.body}) > 1 for cand in cands)
@@ -229,7 +238,7 @@ def test_fact_admission_ignores_residual(path_teacher):
     teacher, params = path_teacher
     cand = _fact_candidate(EMPTY_CLASS, closed(path(3)))
     small = ObservationTable([EMPTY_CLASS], [], teacher.answer)
-    cols = collapse_reps(enumerate_brep([path(3)], 2, delta=2))
+    cols = classes_of([path(3)], 2, delta=2)
     big = ObservationTable([EMPTY_CLASS], cols, teacher.answer)
     assert admit_clause(cand, small, teacher.answer) == \
         admit_clause(cand, big, teacher.answer)
@@ -266,7 +275,7 @@ def test_vacuous_admission_without_positive_family(path_teacher):
     # a body class whose compositions never land in the language
     bclass = RepClass(frag([(0, "b"), (1, "b")], [], (0, 1)))
     cand = _chord_candidate(bclass)
-    cols = collapse_reps(enumerate_brep([path(3)], 2, delta=2))
+    cols = classes_of([path(3)], 2, delta=2)
     table = ObservationTable([EMPTY_CLASS, bclass], cols, teacher.answer)
     assert all(not table.cell(1, ci) for ci in range(len(cols)))
     assert admit_clause(cand, table, teacher.answer)
@@ -303,7 +312,7 @@ def test_empty_state_yields_empty_hypothesis(path_teacher):
 
 def test_clause_count_at_most_candidates(path_teacher):
     teacher, params = path_teacher
-    classes = collapse_reps(enumerate_brep([path(2)], params.w, params.delta))
+    classes = classes_of([path(2)], params.w, params.delta)
     cons = construct_gamma(classes, classes, teacher.answer, params,
                            ("a",), ("e",))
     assert cons.counters["admitted_clauses"] <= cons.counters["candidates"]
@@ -324,7 +333,7 @@ def test_oracle_queries_count_every_oracle_call(builder, sample):
         calls.append(g)
         return teacher.answer(g)
 
-    classes = collapse_reps(enumerate_brep(sample, params.w, params.delta))
+    classes = classes_of(sample, params.w, params.delta)
     vlabels = tuple(sorted({lab for g in sample for lab in g.vlabel.values()}))
     cons = construct_gamma(classes, classes, counting, params, vlabels, ("e",))
     c = cons.counters
@@ -398,36 +407,59 @@ def renumbered(g, offset):
         [(u + offset, v + offset, lab) for (u, v), lab in g.edges.items()])
 
 
-def test_incremental_classes_match_whole_sample_collapse(path_teacher):
-    teacher, params = path_teacher
-    learner = Learner(teacher.answer, params)
+INCREMENTAL_CASES = [
     # path(3) on fresh vertex ids shares classes with path(2) through
     # fragments that differ as objects, so keeping the last representative
     # of a class instead of the first shows; the repeat and the renumbered
     # copy of path(2) are not new to the sample
-    shown = [path(2), renumbered(path(3), 10), path(2),
-             renumbered(path(2), 20), path(4)]
-    for g in shown:
-        rec = learner.observe(g)
-        reps = enumerate_brep(learner.sample, params.w, params.delta)
-        want = collapse_reps(reps)
-        assert [c.key for c in learner.residual] == [c.key for c in want]
-        assert [c.fragment for c in learner.residual] == [c.fragment for c in want]
-        assert [c.count for c in learner.residual] == [c.count for c in want]
-        assert rec.counters["raw_representations"] == len(reps)
-    assert len(learner.sample) == 3
+    (path_grammar, [path(2), renumbered(path(3), 10), path(2),
+                    renumbered(path(2), 20), path(4)], 3),
+    # twin's two labels: an a-b edge read from either end is one graph
+    (twin_grammar, [path(2, ["a", "b"]), renumbered(path(3, ["a", "b", "a"]), 10),
+                    path(2, ["b", "a"]), renumbered(path(2, ["a", "b"]), 20),
+                    path(3)], 3),
+]
+
+
+def test_incremental_classes_match_whole_sample_collapse():
+    for builder, shown, distinct in INCREMENTAL_CASES:
+        gamma, params = builder()
+        learner = Learner(Teacher(gamma, params, size_cap=6).answer, params)
+        for g in shown:
+            rec = learner.observe(g)
+            reps = enumerate_brep(learner.sample, params.w, params.delta)
+            want = collapse_reps(rep.fragment for rep in reps)
+            assert [c.key for c in learner.residual] == [c.key for c in want]
+            assert [c.fragment for c in learner.residual] == [c.fragment for c in want]
+            assert rec.counters["raw_representations"] == len(reps)
+        assert len(learner.sample) == distinct, builder.__name__
+
+
+def test_classes_of_one_graph_match_collapsing_every_representation():
+    """``sub_w``'s fragments give the classes, representatives and order
+    that collapsing every raw representation gives, and the spec count is
+    the number of raw representations."""
+    rng = random.Random(18)
+    for i in range(300):
+        g = random_graph(rng, rng.randint(0, 7), edge_prob=rng.random())
+        w = i % 3
+        reps = brep_for_graph(g, w)
+        got = collapse_reps(sub_w(g, w).fragments)
+        want = collapse_reps(rep.fragment for rep in reps)
+        assert [c.key for c in got] == [c.key for c in want], (g.vlabel, g.edges, w)
+        assert [c.fragment for c in got] == [c.fragment for c in want]
+        assert sum(len(masks) for _, _, masks in boundary_specs(g, w)) == len(reps)
 
 
 def test_stage_on_a_known_graph_enumerates_nothing(path_teacher, monkeypatch):
-    import clausegraph.learner as learner_mod
     calls = []
-    original = learner_mod.brep_for_graph
+    original = learner_mod.sub_w
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(learner_mod, "brep_for_graph", counting)
+    monkeypatch.setattr(learner_mod, "sub_w", counting)
     teacher, params = path_teacher
     learner = Learner(teacher.answer, params)
     learner.observe(path(3))
@@ -437,6 +469,23 @@ def test_stage_on_a_known_graph_enumerates_nothing(path_teacher, monkeypatch):
         assert len(calls) == 1
     learner.observe(path(4))
     assert calls == [path(3), path(4)]
+
+
+def test_learn_run_builds_no_raw_representations(monkeypatch):
+    """A twin learn run to convergence takes its classes from ``sub_w``
+    alone: listing every representation of a graph is never called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("every representation was listed")
+
+    monkeypatch.setattr(learner_mod, "brep_for_graph", refuse, raising=False)
+    monkeypatch.setattr(boundary_mod, "brep_for_graph", refuse)
+    monkeypatch.setattr(boundary_mod, "enumerate_brep", refuse)
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=5)
+    learner = Learner(teacher.answer, params)
+    records = learner.run(teacher.presentation(seed=1), 2 * len(teacher.language))
+    assert learner.stable_from() is not None
+    assert records[-1].counters["raw_representations"] > 0
 
 
 def test_query_budget_per_stage(path_teacher):
