@@ -2,9 +2,7 @@
 from positive examples plus membership queries."""
 
 from .boundary import (
-    EMPTY_REP,
     BoundaryRep,
-    BoundarySpec,
     build_fragment,
     enumerate_brep,
     validate_spec,
@@ -42,12 +40,10 @@ from .teacher import Presentation, Teacher, generate_language
 __all__ = [
     "Atom",
     "BoundaryRep",
-    "BoundarySpec",
     "Clause",
     "ClauseSystem",
     "EMPTY_GRAPH",
     "EMPTY_INTERFACE_GRAPH",
-    "EMPTY_REP",
     "GraphPattern",
     "GraphWithInterface",
     "LabeledGraph",

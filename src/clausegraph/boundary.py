@@ -4,8 +4,10 @@ A specification is an ordered tuple of distinct vertices plus a set of edges
 touching them; a valid one determines a unique boundary-attached fragment:
 the chosen vertices, everything reachable behind the chosen edges once the
 boundary is deleted, and the edges among those.  ``boundary_specs`` walks
-every specification of bounded rank of one graph in one fixed order, and
-``enumerate_brep`` lists them over a sample with their fragments (CLI ``brep``).
+every specification of bounded rank of one graph in one fixed order;
+``brep_for_graph`` and ``enumerate_brep`` (CLI ``brep``) list them, over one
+graph or a sample, as ``BoundaryRep`` records: source graph index, boundary
+tuple, chosen edges and fragment.
 
 Fragments keep their source vertex ids, so rebuilding one from the same
 specification gives an identical object; deduplication up to isomorphism is
@@ -17,72 +19,20 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import (
-    EMPTY_INTERFACE_GRAPH,
-    GraphWithInterface,
-    LabeledGraph,
-)
+from .graphs import GraphWithInterface, LabeledGraph
 
 
-class BoundarySpec:
-    """(source graph index, ordered boundary tuple, boundary edge set)."""
+class BoundaryRep(NamedTuple):
+    """One boundary representation: the index of its source graph (None for
+    a lone graph), the ordered boundary tuple, the chosen edges as ``(u, v)``
+    pairs with ``u < v``, and the fragment they determine."""
 
-    __slots__ = ("source", "beta", "boundary_edges")
-
-    def __init__(self, source: Optional[int], beta: Sequence[int],
-                 boundary_edges: Iterable[tuple]):
-        self.source = source
-        self.beta = tuple(beta)
-        self.boundary_edges = frozenset(
-            (u, v) if u < v else (v, u) for u, v in boundary_edges)
-
-    @property
-    def rank(self) -> int:
-        return len(self.beta)
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundarySpec):
-            return NotImplemented
-        return (self.source == other.source and self.beta == other.beta
-                and self.boundary_edges == other.boundary_edges)
-
-    def __hash__(self):
-        return hash((self.source, self.beta, self.boundary_edges))
-
-    def __repr__(self):
-        return f"BoundarySpec(source={self.source}, beta={self.beta}, eb={sorted(self.boundary_edges)})"
-
-
-class BoundaryRep:
-    """A specification together with the fragment it determines."""
-
-    __slots__ = ("spec", "fragment")
-
-    def __init__(self, spec: BoundarySpec, fragment: GraphWithInterface):
-        self.spec = spec
-        self.fragment = fragment
-
-    @property
-    def rank(self) -> int:
-        return self.spec.rank
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryRep):
-            return NotImplemented
-        return self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
-
-    def __repr__(self):
-        return f"BoundaryRep({self.spec!r})"
-
-
-#: The distinguished empty representation: empty boundary, empty edge set,
-#: empty fragment.  Its predicate is every hypothesis' start symbol.
-EMPTY_REP = BoundaryRep(BoundarySpec(None, (), ()), EMPTY_INTERFACE_GRAPH)
+    source: Optional[int]
+    beta: tuple
+    boundary_edges: frozenset
+    fragment: GraphWithInterface
 
 
 def validate_spec(g: LabeledGraph, beta: Sequence[int], eb: Iterable[tuple]) -> bool:
@@ -168,8 +118,8 @@ def brep_for_graph(g: LabeledGraph, w: int, source: Optional[int] = None) -> lis
     for beta, incident, masks in boundary_specs(g, w):
         for mask in masks:
             eb = chosen(incident, mask)
-            spec = BoundarySpec(source, beta, eb)
-            out.append(BoundaryRep(spec, build_fragment(g, beta, eb)))
+            out.append(BoundaryRep(source, beta, frozenset(eb),
+                                   build_fragment(g, beta, eb)))
     return out
 
 
@@ -194,5 +144,6 @@ def enumerate_brep(sample: Sequence[LabeledGraph], w: int, delta: int) -> list:
 def rank_counts(reps: Iterable[BoundaryRep]) -> dict:
     counts = {}
     for rep in reps:
-        counts[rep.rank] = counts.get(rep.rank, 0) + 1
+        rank = len(rep.beta)
+        counts[rank] = counts.get(rank, 0) + 1
     return dict(sorted(counts.items()))

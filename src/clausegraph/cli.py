@@ -92,8 +92,8 @@ def _cmd_brep(args) -> int:
     sample = load_graphs(args.sample)
     reps = enumerate_brep([g.graph for g in sample], args.w, args.delta)
     for rep in reps:
-        eb = ",".join(f"{u}-{v}" for u, v in sorted(rep.spec.boundary_edges))
-        print(f"graph={rep.spec.source} beta={rep.spec.beta} "
+        eb = ",".join(f"{u}-{v}" for u, v in sorted(rep.boundary_edges))
+        print(f"graph={rep.source} beta={rep.beta} "
               f"eb=[{eb}] key={key_digest(rep.fragment)}")
     for rank, count in rank_counts(reps).items():
         print(f"rank {rank}: {count} representations")

@@ -26,10 +26,12 @@ PathLike = Union[str, Path]
 
 
 def read_json(path: PathLike):
-    """The JSON value in a file; nesting too deep is a ``ValueError``."""
-    text = Path(path).read_text()
+    """The JSON value in a UTF-8 file.  Text that does not decode or parse,
+    or nests too deeply, is a ``ValueError`` naming the file."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
 
@@ -140,6 +142,8 @@ def pattern_from_obj(obj, field: str = "pattern") -> GraphPattern:
             _as_int(port, f"{field}.hyperedges[{i}].ports[{j}]")
             _expect(port in base.graph.vlabel, f"{field}.hyperedges[{i}].ports[{j}]",
                     f"vertex {port} not declared")
+        _expect(len(set(ports)) == len(ports), f"{field}.hyperedges[{i}].ports",
+                f"must be distinct, got {ports}")
         hyper.append(VariableHyperedge(var, tuple(ports)))
     try:
         return GraphPattern(base, hyper)

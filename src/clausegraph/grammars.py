@@ -1,18 +1,21 @@
 """Bundled example clause systems used by the CLI examples and the test
-suite.  Each builder returns the system together with structural bounds that
-it satisfies.
+suite.  Each builder loads the system and the structural bounds it satisfies
+from the grammar and parameter files shipped in the package's ``data``
+directory.
 """
 
 from __future__ import annotations
 
-from .clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
-from .graphs import (
-    GraphPattern,
-    GraphWithInterface,
-    VariableHyperedge,
-    graph_from_parts,
-    star_pattern,
-)
+from importlib import resources
+
+from .formats import load_grammar, load_params
+
+_DATA = resources.files(__package__) / "data"
+
+
+def _bundled(name: str):
+    return (load_grammar(_DATA / f"{name}_grammar.json"),
+            load_params(_DATA / f"{name}_params.json"))
 
 
 def path_grammar():
@@ -21,40 +24,12 @@ def path_grammar():
     One predicate grows a path behind a two-ended interface; the start
     predicate closes it.
     """
-    p = PredicateSymbol("p", 0)
-    q = PredicateSymbol("q", 2)
-
-    edge = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]), (0, 1))
-    fact = Clause(Atom(q, GraphPattern(edge)))
-
-    grow_base = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "a"), (2, "a")], [(0, 2, "e")]),
-        (0, 1))
-    grow = Clause(
-        Atom(q, GraphPattern(grow_base, [VariableHyperedge("y", (2, 1))])),
-        [Atom(q, star_pattern("y", ("a", "a")))])
-
-    close_base = GraphWithInterface(graph_from_parts([(0, "a"), (1, "a")]), ())
-    close = Clause(
-        Atom(p, GraphPattern(close_base, [VariableHyperedge("x", (0, 1))])),
-        [Atom(q, star_pattern("x", ("a", "a")))])
-
-    gamma = ClauseSystem([p, q], [fact, grow, close], start=p)
-    params = ParamTuple(m=3, s=1, t=1, w=2, d=2, delta=2, h_max=3)
-    return gamma, params
+    return _bundled("path")
 
 
 def triangle_grammar():
     """The one-member language holding a single labeled triangle."""
-    p = PredicateSymbol("p", 0)
-    tri = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "a"), (2, "a")],
-                         [(0, 1, "e"), (1, 2, "e"), (0, 2, "e")]),
-        ())
-    gamma = ClauseSystem([p], [Clause(Atom(p, GraphPattern(tri)))], start=p)
-    params = ParamTuple(m=1, s=0, t=0, w=0, d=2, delta=2, h_max=3)
-    return gamma, params
+    return _bundled("triangle")
 
 
 def twin_grammar():
@@ -66,39 +41,4 @@ def twin_grammar():
     repeated label buys.  The capping clause uses the predicate once, keeping
     every value of the auxiliary predicate observable through one context.
     """
-    p = PredicateSymbol("p", 0)
-    q = PredicateSymbol("q", 1)
-
-    seed = GraphWithInterface(graph_from_parts([(0, "a")]), (0,))
-    fact = Clause(Atom(q, GraphPattern(seed)))
-
-    grow_base = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]), (0,))
-    grow = Clause(
-        Atom(q, GraphPattern(grow_base, [VariableHyperedge("y", (1,))])),
-        [Atom(q, star_pattern("y", ("a",)))])
-
-    pair_base = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "a")], [(0, 1, "e")]), ())
-    pair = Clause(
-        Atom(p, GraphPattern(pair_base, [VariableHyperedge("x", (0,)),
-                                         VariableHyperedge("x", (1,))])),
-        [Atom(q, star_pattern("x", ("a",))),
-         Atom(q, star_pattern("x", ("a",)))])
-
-    cap_base = GraphWithInterface(
-        graph_from_parts([(0, "a"), (1, "b")], [(0, 1, "e")]), ())
-    cap = Clause(
-        Atom(p, GraphPattern(cap_base, [VariableHyperedge("x", (0,))])),
-        [Atom(q, star_pattern("x", ("a",)))])
-
-    gamma = ClauseSystem([p, q], [fact, grow, pair, cap], start=p)
-    params = ParamTuple(m=4, s=2, t=2, w=1, d=2, delta=2, h_max=2)
-    return gamma, params
-
-
-BUNDLED = {
-    "path": path_grammar,
-    "triangle": triangle_grammar,
-    "twin": twin_grammar,
-}
+    return _bundled("twin")

@@ -108,7 +108,7 @@ def test_criterion_1_boundary_enumeration_exactness():
         g = random_connected_graph(rng, n, max_degree=delta,
                                    vlabels=("a", "b"), elabels=("e",))
         w = rng.randint(0, 2)
-        got = {(r.spec.beta, r.spec.boundary_edges) for r in brep_for_graph(g, w)}
+        got = {(r.beta, r.boundary_edges) for r in brep_for_graph(g, w)}
         want = set(naive_boundary_specs(g, w))
         assert got == want, f"trial {trial}: spec sets differ"
         counts = {}

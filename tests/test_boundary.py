@@ -3,8 +3,6 @@ import random
 import pytest
 
 from clausegraph.boundary import (
-    EMPTY_REP,
-    BoundarySpec,
     brep_for_graph,
     build_fragment,
     enumerate_brep,
@@ -112,7 +110,7 @@ def test_fragment_determinism(rng):
         g = random_graph(rng, rng.randint(1, 8))
         reps = brep_for_graph(g, 2)
         for rep in reps:
-            again = build_fragment(g, rep.spec.beta, rep.spec.boundary_edges)
+            again = build_fragment(g, rep.beta, rep.boundary_edges)
             assert again.graph.vlabel == rep.fragment.graph.vlabel
             assert again.graph.edges == rep.fragment.graph.edges
             assert again.interface == rep.fragment.interface
@@ -124,7 +122,7 @@ def test_fragment_determinism(rng):
 
 def test_single_edge_rank1_reps():
     reps = enumerate_brep([single_edge()], 1, delta=3)
-    specs = {(r.spec.beta, r.spec.boundary_edges) for r in reps}
+    specs = {(r.beta, r.boundary_edges) for r in reps}
     assert specs == {
         ((), frozenset()),
         ((0,), frozenset()),
@@ -137,7 +135,7 @@ def test_single_edge_rank1_reps():
 def test_isolated_vertex_rank0():
     reps = enumerate_brep([graph_from_parts([(0, "a")])], 0, delta=1)
     assert len(reps) == 1
-    assert reps[0].spec.beta == ()
+    assert reps[0].beta == ()
     assert reps[0].fragment.graph.n == 0
 
 
@@ -152,7 +150,7 @@ def test_enumeration_matches_naive_oracle(rng):
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(1, 9), max_degree=3)
         w = rng.randint(0, 2)
-        got = {(r.spec.beta, r.spec.boundary_edges) for r in brep_for_graph(g, w)}
+        got = {(r.beta, r.boundary_edges) for r in brep_for_graph(g, w)}
         want = {(beta, eb) for beta, eb in naive_boundary_specs(g, w)}
         assert got == want
 
@@ -165,7 +163,7 @@ def test_enumeration_order_matches_naive_oracle():
     for _ in range(25):
         g = random_graph(rng, rng.randint(0, 7), edge_prob=rng.random())
         w = rng.randint(0, 3 if g.n <= 5 else 2)
-        got = [(r.spec.beta, r.spec.boundary_edges) for r in brep_for_graph(g, w)]
+        got = [(r.beta, r.boundary_edges) for r in brep_for_graph(g, w)]
         assert got == naive_boundary_specs(g, w)
 
 
@@ -183,9 +181,9 @@ def test_rank_counts_within_bound(rng):
 def test_monotone_under_sample_growth(rng):
     g1 = random_connected_graph(rng, 5, max_degree=3)
     g2 = random_connected_graph(rng, 4, max_degree=3)
-    small = {(r.spec.source, r.spec.beta, r.spec.boundary_edges)
+    small = {(r.source, r.beta, r.boundary_edges)
              for r in enumerate_brep([g1], 2, delta=3)}
-    big = {(r.spec.source, r.spec.beta, r.spec.boundary_edges)
+    big = {(r.source, r.beta, r.boundary_edges)
            for r in enumerate_brep([g1, g2], 2, delta=3)}
     assert small <= big
 
@@ -193,18 +191,12 @@ def test_monotone_under_sample_growth(rng):
 def test_fragment_interface_equals_beta(rng):
     g = random_connected_graph(rng, 7, max_degree=3)
     for rep in brep_for_graph(g, 2):
-        assert rep.fragment.interface == rep.spec.beta
-
-
-def test_empty_rep_singleton():
-    assert EMPTY_REP.rank == 0
-    assert EMPTY_REP.fragment.graph.n == 0
-    assert EMPTY_REP.spec == BoundarySpec(None, (), ())
+        assert rep.fragment.interface == rep.beta
 
 
 def test_enumeration_deterministic():
     g = random_connected_graph(random.Random(3), 6, max_degree=3)
     a = brep_for_graph(g, 2)
     b = brep_for_graph(g, 2)
-    assert [(r.spec.beta, sorted(r.spec.boundary_edges)) for r in a] == \
-        [(r.spec.beta, sorted(r.spec.boundary_edges)) for r in b]
+    assert [(r.beta, sorted(r.boundary_edges)) for r in a] == \
+        [(r.beta, sorted(r.boundary_edges)) for r in b]

@@ -41,14 +41,6 @@ def path_files(tmp_path):
     }
 
 
-def test_bundled_data_files_match_builders():
-    for name, builder in (("path", path_grammar), ("triangle", triangle_grammar),
-                          ("twin", twin_grammar)):
-        gamma, params = builder()
-        loaded = load_grammar(data_path(f"{name}_grammar.json"))
-        assert loaded.digest_key() == gamma.digest_key()
-
-
 def test_member_yes(capsys, path_files):
     code = dispatch(["member", "--grammar", path_files["grammar"],
                      "--graph", path_files["graph"],
@@ -142,6 +134,20 @@ def test_deeply_nested_json_is_domain_error(capsys, tmp_path, path_files, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content", [b'{"a": ', b"\xff\xfe{}"],
+                         ids=["truncated", "not-utf8"])
+def test_undecodable_json_error_names_the_file(capsys, tmp_path, path_files, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = dispatch(["member", "--grammar", str(bad),
+                     "--graph", path_files["graph"],
+                     "--params", path_files["params"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.out == ""
+
+
 def test_invalid_grammar_is_domain_error(capsys, tmp_path, path_files):
     obj = grammar_to_obj(load_grammar(path_files["grammar"]))
     obj["clauses"][1]["body"] = []
@@ -209,6 +215,17 @@ def test_brep_output(capsys, tmp_path):
     assert out.count("graph=0") == 5
     assert "rank 0: 1 representations" in out
     assert "rank 1: 4 representations" in out
+
+
+def test_brep_output_is_pinned(capsys, tmp_path):
+    """sha256 of ``brep --w 1`` over every twin member up to 6 vertices."""
+    gamma, params = twin_grammar()
+    spath = tmp_path / "sample.json"
+    dump_graphs([closed(g) for g in generate_language(gamma, params, 6)], spath)
+    assert dispatch(["brep", "--sample", str(spath), "--w", "1", "--delta", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3fa534318b68e61965d1fcbca4d53de79ea35312282355f914902626cd7a0c1b"
 
 
 def test_brep_rejects_negative_w(capsys, tmp_path):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import clausegraph
 
 from clausegraph.clauses import ParamTuple
 from clausegraph.formats import (
@@ -47,6 +53,23 @@ def test_single_graph_file_loads_as_list(tmp_path):
     dump_graphs([GraphWithInterface(graph_from_parts([(0, "a")]), ())], path)
     assert isinstance(json.loads(path.read_text()), dict)
     assert len(load_graphs(path)) == 1
+
+
+def test_graphs_load_as_utf8_whatever_the_locale(tmp_path):
+    """A UTF-8 graph file loads under an ASCII locale with UTF-8 mode off."""
+    path = tmp_path / "alpha.json"
+    path.write_bytes(json.dumps({"vertices": [{"id": 0, "label": "\u03b1"}]},
+                                ensure_ascii=False).encode("utf-8"))
+    src = str(Path(clausegraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from clausegraph.formats import load_graphs; "
+            "[g] = load_graphs(sys.argv[1]); print(ascii(g.graph.vlabel[0]))")
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "'\\u03b1'\n"
 
 
 def test_lossless_up_to_renaming(tmp_path):
@@ -112,6 +135,11 @@ def test_grammar_validation_errors():
     obj = grammar_to_obj(gamma)
     obj["clauses"][0]["head"]["predicate"] = "ghost"
     with pytest.raises(ValueError, match="ghost"):
+        grammar_from_obj(obj)
+    obj = grammar_to_obj(gamma)
+    obj["clauses"][1]["head"]["pattern"]["hyperedges"][0]["ports"] = [2, 2]
+    with pytest.raises(ValueError,
+                       match=r"clauses\[1\]\.head\.pattern\.hyperedges\[0\]\.ports"):
         grammar_from_obj(obj)
 
 
