@@ -17,7 +17,6 @@ parts before building them, and the learner takes its classes from it.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -62,31 +61,23 @@ def build_fragment(g: LabeledGraph, beta: Sequence[int],
     if not validate_spec(g, beta, eb):
         raise ValueError(f"invalid boundary specification beta={beta}")
     bset = set(beta)
-    eb = {(u, v) if u < v else (v, u) for u, v in eb}
-    seeds = []
+    vlabel = {v: g.vlabel[v] for v in beta}
+    edges = {}
+    walk = []
     for u, v in eb:
-        if u not in bset:
-            seeds.append(u)
-        if v not in bset:
-            seeds.append(v)
-    interior = set()
-    queue = deque(seeds)
-    while queue:
-        x = queue.popleft()
-        if x in interior:
-            continue
-        interior.add(x)
-        for y, _ in g.neighbors(x):
-            if y not in bset and y not in interior:
-                queue.append(y)
-    vlabel = {v: g.vlabel[v] for v in bset}
-    vlabel.update((v, g.vlabel[v]) for v in interior)
-    edges = {e: g.edges[e] for e in eb}
-    for v in interior:
-        for u, lab in g.neighbors(v):
-            if u in interior:
-                key = (u, v) if u < v else (v, u)
-                edges[key] = lab
+        key = (u, v) if u < v else (v, u)
+        edges[key] = g.edges[key]
+        for x in key:
+            if x not in vlabel:
+                vlabel[x] = g.vlabel[x]
+                walk.append(x)
+    for x in walk:  # the loop reaches what it appends
+        for y, lab in g.neighbors(x):
+            if y not in bset:
+                edges[(x, y) if x < y else (y, x)] = lab
+                if y not in vlabel:
+                    vlabel[y] = g.vlabel[y]
+                    walk.append(y)
     return GraphWithInterface(LabeledGraph(vlabel, edges), beta)
 
 

@@ -244,14 +244,9 @@ def _cmd_learn(args) -> int:
         "config": {k: config[k] for k in
                    ("target", "params", "size_cap", "stages", "check_cap", "seed")},
         "stages": trace_stages,
-        "convergence": {
-            "stable_from": learner.stable_from(),
-            "final_digest": stages[-1].hypothesis_digest if stages else None,
-        },
-        "teacher_queries": {"total": teacher.queries_total,
-                            "unique": teacher.queries_unique,
-                            "cache_verified": teacher.verify_cache()},
+        **_run_facts(result),
     }
+    trace["teacher_queries"]["cache_verified"] = teacher.verify_cache()
     if config["check_cap"] is not None:
         trace["agreement"] = _agreement(learner.hypothesis, teacher,
                                         config["check_cap"])
@@ -259,6 +254,20 @@ def _cmd_learn(args) -> int:
     print(json.dumps(trace["convergence"], sort_keys=True))
     print(f"wrote {len(stages)} stage hypotheses and trace.json to {out}")
     return 0
+
+
+def _run_facts(result: dict) -> dict:
+    """A run's convergence and teacher query counts, as its trace records
+    them; a replay compares each of these fields."""
+    stages, teacher = result["stages"], result["teacher"]
+    return {
+        "convergence": {
+            "stable_from": result["learner"].stable_from(),
+            "final_digest": stages[-1].hypothesis_digest if stages else None,
+        },
+        "teacher_queries": {"total": teacher.queries_total,
+                            "unique": teacher.queries_unique},
+    }
 
 
 def _agreement(hypothesis, teacher: Teacher, cap: int) -> dict:
@@ -284,17 +293,24 @@ def _cmd_replay(args) -> int:
     for i, old in enumerate(recorded):
         if not isinstance(old, dict):
             raise ValueError(f"trace.stages[{i}]: expected an object")
+    for section in ("convergence", "teacher_queries"):
+        if not isinstance(trace.get(section), dict):
+            raise ValueError(f"trace.{section}: expected an object")
     result = _run_learn(config)
     fresh = [rec.summary() for rec in result["stages"]]
     mismatches = []
     for old, new in zip(recorded, fresh):
-        for field in ("hypothesis_digest", "update_fired", "basis_size",
-                      "residual_size", "oracle_queries", "candidates"):
-            if old.get(field) != new.get(field):
+        for field in dict.fromkeys([*new, *old]):
+            if field != "hypothesis_file" and old.get(field) != new.get(field):
                 mismatches.append(
                     f"stage {new['stage']}: {field} {old.get(field)!r} != {new.get(field)!r}")
     if len(recorded) != len(fresh):
         mismatches.append(f"stage count {len(recorded)} != {len(fresh)}")
+    for section, facts in _run_facts(result).items():
+        for field, value in facts.items():
+            if trace[section].get(field) != value:
+                mismatches.append(
+                    f"{section}.{field} {trace[section].get(field)!r} != {value!r}")
     if mismatches:
         for m in mismatches:
             print(f"replay mismatch: {m}")

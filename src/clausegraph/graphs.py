@@ -269,49 +269,27 @@ def is_star_pattern(p: GraphPattern) -> bool:
 # gluing
 # ---------------------------------------------------------------------------
 
-class _Gluer:
-    """Accumulates vertices and edges under identification; None on conflict."""
-
-    __slots__ = ("vlabel", "edges", "next_id")
-
-    def __init__(self):
-        self.vlabel = {}
-        self.edges = {}
-        self.next_id = 0
-
-    def fresh(self, label: str) -> int:
-        v = self.next_id
-        self.next_id += 1
-        self.vlabel[v] = label
-        return v
-
-    def merge_label(self, v: int, label: str) -> bool:
-        return self.vlabel[v] == label
-
-    def add_edge(self, u: int, v: int, label: str) -> bool:
-        key = (u, v) if u < v else (v, u)
-        old = self.edges.get(key)
-        if old is None:
-            self.edges[key] = label
-            return True
-        return old == label
-
-    def add_copy(self, g: LabeledGraph, anchored: Mapping[int, int]) -> Optional[dict]:
-        """Add a fresh copy of ``g``; vertices in ``anchored`` map onto existing
-        result vertices (label checked), the rest get fresh ids."""
-        vmap = {}
-        for v in g.vertices:
-            if v in anchored:
-                t = anchored[v]
-                if not self.merge_label(t, g.vlabel[v]):
-                    return None
-                vmap[v] = t
-            else:
-                vmap[v] = self.fresh(g.vlabel[v])
-        for (u, v), lab in sorted(g.edges.items()):
-            if not self.add_edge(vmap[u], vmap[v], lab):
+def _add_copy(vlabel: dict, edges: dict, g: LabeledGraph,
+              anchored: Mapping[int, int]) -> Optional[dict]:
+    """Add a fresh copy of ``g`` to the glued ``vlabel`` and ``edges``: a
+    vertex in ``anchored`` maps onto that glued vertex, whose label must be
+    its own, and every other vertex gets the next fresh id.  Returns the
+    vertex map, or None on a vertex or edge label conflict."""
+    vmap = {}
+    for v in g.vertices:
+        if v in anchored:
+            t = anchored[v]
+            if vlabel[t] != g.vlabel[v]:
                 return None
-        return vmap
+        else:
+            t = len(vlabel)
+            vlabel[t] = g.vlabel[v]
+        vmap[v] = t
+    for (u, v), lab in sorted(g.edges.items()):
+        u, v = vmap[u], vmap[v]
+        if edges.setdefault((u, v) if u < v else (v, u), lab) != lab:
+            return None
+    return vmap
 
 
 def compose(g: GraphWithInterface, h: GraphWithInterface) -> Optional[LabeledGraph]:
@@ -321,12 +299,12 @@ def compose(g: GraphWithInterface, h: GraphWithInterface) -> Optional[LabeledGra
     """
     if g.rank != h.rank:
         return None
-    glue = _Gluer()
-    gmap = glue.add_copy(g.graph, {})
+    vlabel, edges = {}, {}
+    gmap = _add_copy(vlabel, edges, g.graph, {})
     anchored = {h.interface[i]: gmap[g.interface[i]] for i in range(g.rank)}
-    if glue.add_copy(h.graph, anchored) is None:
+    if _add_copy(vlabel, edges, h.graph, anchored) is None:
         return None
-    return LabeledGraph(glue.vlabel, glue.edges)
+    return LabeledGraph(vlabel, edges)
 
 
 def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInterface]:
@@ -343,18 +321,15 @@ def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInt
             raise ValueError(
                 f"variable {label!r} has rank {rank} but is bound to a graph "
                 f"of interface rank {theta[label].rank}")
-    glue = _Gluer()
-    base = pattern.base.graph
-    vmap = glue.add_copy(base, {})
-    if vmap is None:
-        return None
+    vlabel, edges = {}, {}
+    vmap = _add_copy(vlabel, edges, pattern.base.graph, {})
     for h in pattern.hyperedges:
         bound = theta[h.label]
         anchored = {bound.interface[j]: vmap[h.ports[j]] for j in range(h.rank)}
-        if glue.add_copy(bound.graph, anchored) is None:
+        if _add_copy(vlabel, edges, bound.graph, anchored) is None:
             return None
-    graph = LabeledGraph(glue.vlabel, glue.edges)
-    return GraphWithInterface(graph, tuple(vmap[v] for v in pattern.interface))
+    return GraphWithInterface(LabeledGraph(vlabel, edges),
+                              tuple(vmap[v] for v in pattern.interface))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from math import prod
 from typing import Callable, Optional, Sequence
@@ -180,16 +181,11 @@ class ClauseCandidate:
         return self._clause
 
 
-_STAR_CACHE: dict = {}
-
-
+@cache
 def _shared_star(var: str, labels: tuple) -> GraphPattern:
     """One star pattern per (variable, port labels); patterns are immutable,
     so every clause that needs the star shares it and its cached keys."""
-    star = _STAR_CACHE.get((var, labels))
-    if star is None:
-        star = _STAR_CACHE[(var, labels)] = star_pattern(var, labels)
-    return star
+    return star_pattern(var, labels)
 
 
 def _set_partitions(items):
@@ -230,19 +226,13 @@ def _edge_assignments(n, d, elabels):
     return out
 
 
-_SHAPE_CACHE: dict = {}
-
-
+@cache
 def head_shapes(iface_rank: int, params: ParamTuple,
-                vlabels: tuple, elabels: tuple) -> list:
+                vlabels: tuple, elabels: tuple) -> tuple:
     """All head patterns with the given interface rank, up to isomorphism
     and variable renaming: at most ``h_max`` vertices, pattern degree at
     most ``d``, at most ``s`` hyperedges of rank at most ``w``, every
     grouping of hyperedges into equal-label classes."""
-    cache_key = (iface_rank, params.s, params.w, params.d, params.h_max,
-                 vlabels, elabels)
-    if cache_key in _SHAPE_CACHE:
-        return _SHAPE_CACHE[cache_key]
     shapes = []
     seen = set()
     for n in range(iface_rank, params.h_max + 1):
@@ -260,8 +250,7 @@ def head_shapes(iface_rank: int, params: ParamTuple,
                     for k in range(params.s + 1):
                         for ports_multi in combinations_with_replacement(port_choices, k):
                             shapes.extend(_shapes_for(base, ports_multi, seen))
-    _SHAPE_CACHE[cache_key] = shapes
-    return shapes
+    return tuple(shapes)
 
 
 def _shapes_for(base: GraphWithInterface, ports_multi, seen):

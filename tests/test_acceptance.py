@@ -369,13 +369,9 @@ def test_criterion_7_monotone_rejection(convergence_runs):
     for name, run in convergence_runs.items():
         teacher = run["teacher"]
         built = run["constructions"]
-        # large runs replay one growth per construction, small runs every growth
-        budget = None if name != "twin" else 1
         for i, (cons, cons_next) in enumerate(zip(built, built[1:])):
             have = {c.key for c in cons.residual}
             added = [c for c in cons_next.residual if c.key not in have]
-            if budget is not None:
-                added = added[:budget]
             rejected_nonfacts = [c for c in cons.rejected if not c.is_fact]
             for extra in added:
                 grown = ObservationTable(cons.basis, cons.residual + [extra],

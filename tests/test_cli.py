@@ -371,18 +371,51 @@ def test_learn_outputs_are_pinned(capsys, tmp_path, name, cap, stages,
         {f"stage_{i:03d}.json": want for i, want in enumerate(stage_files, 1)}
 
 
-def test_learn_replay_detects_tampering(capsys, tmp_path):
-    out_dir = tmp_path / "run"
-    dispatch(["learn", "--target", data_path("triangle_grammar.json"),
-              "--params", data_path("triangle_params.json"),
-              "--cap", "4", "--stages", "2", "--out", str(out_dir)])
-    capsys.readouterr()
-    trace_file = out_dir / "trace.json"
-    trace = json.loads(trace_file.read_text())
-    trace["stages"][0]["hypothesis_digest"] = "0" * 16
+@pytest.fixture(scope="module")
+def triangle_trace(tmp_path_factory):
+    """The trace of a two-stage triangle run at cap 4."""
+    out_dir = tmp_path_factory.mktemp("triangle") / "run"
+    assert dispatch(["learn", "--target", data_path("triangle_grammar.json"),
+                     "--params", data_path("triangle_params.json"),
+                     "--cap", "4", "--stages", "2", "--out", str(out_dir)]) == 0
+    return json.loads((out_dir / "trace.json").read_text())
+
+
+# every recorded stage field but the hypothesis file name, which names a
+# file of the original run, and the run-level facts
+_STAGE_FIELDS = (
+    "stage", "presented", "sample_size", "update_fired", "basis_size",
+    "residual_size", "hypothesis_digest", "admission_queries",
+    "admitted_clauses", "candidates", "fact_candidates", "fact_queries",
+    "families", "internal_member_calls", "nonfact_candidates",
+    "oracle_queries", "raw_representations", "shape_constant", "table_queries")
+_TAMPERED = ([("stages", i % 2, field) for i, field in enumerate(_STAGE_FIELDS)]
+             + [("convergence", "stable_from"), ("convergence", "final_digest"),
+                ("teacher_queries", "total"), ("teacher_queries", "unique")])
+
+
+@pytest.mark.parametrize("path", _TAMPERED,
+                         ids=["-".join(map(str, path)) for path in _TAMPERED])
+def test_learn_replay_detects_tampering(capsys, tmp_path, triangle_trace, path):
+    trace = json.loads(json.dumps(triangle_trace))
+    *parents, field = path
+    holder = trace
+    for key in parents:
+        holder = holder[key]
+    recorded = holder[field]
+    if isinstance(recorded, bool):
+        holder[field] = not recorded
+    elif isinstance(recorded, int):
+        holder[field] = recorded + 12345
+    else:
+        holder[field] = "0" * 16
+    trace_file = tmp_path / "trace.json"
     trace_file.write_text(json.dumps(trace))
+    capsys.readouterr()
     assert dispatch(["learn", "--replay", str(trace_file)]) == 1
-    assert "mismatch" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("replay mismatch: ")
+    assert lines[0].endswith(f"{field} {holder[field]!r} != {recorded!r}")
 
 
 @pytest.mark.parametrize("trace, message", [
@@ -392,6 +425,9 @@ def test_learn_replay_detects_tampering(capsys, tmp_path):
     ([1], "trace: expected an object"),
     ({"config": {"target": "t.json", "params": "p.json", "size_cap": 4,
                  "stages": 1}, "stages": 3}, "trace.stages: expected a list"),
+    ({"config": {"target": "t.json", "params": "p.json", "size_cap": 4,
+                 "stages": 1}, "stages": [], "convergence": [],
+      "teacher_queries": {}}, "trace.convergence: expected an object"),
 ])
 def test_learn_replay_rejects_malformed_trace(capsys, tmp_path, trace, message):
     trace_file = tmp_path / "trace.json"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clausegraph.graphs as graphs_mod
+from clausegraph.boundary import boundary_specs, build_fragment, chosen
 from clausegraph.graphs import (
     EMPTY_INTERFACE_GRAPH,
     GraphPattern,
@@ -487,6 +489,62 @@ def test_key_digests_are_pinned():
     assert key_digest(EMPTY_INTERFACE_GRAPH) == "923210f858"
     assert key_digest(closed(triangle())) == "ff50e76958"
     assert key_digest(GraphWithInterface(path_graph(4), (0, 3))) == "ccc0184c4e"
+
+
+def _glue_pin_patterns():
+    """Patterns for the gluing pin: a bare star, shared and distinct labels
+    on overlapping ports, a base edge that a binding's edge can merge with
+    or clash with, and a ground pattern."""
+    a3 = path_graph(3)
+    return [
+        star_pattern("x", ("a", "a")),
+        GraphPattern(GraphWithInterface(a3, (0, 2)),
+                     [VariableHyperedge("x", (0, 1)), VariableHyperedge("x", (1, 2)),
+                      VariableHyperedge("y", (2,))]),
+        GraphPattern(GraphWithInterface(path_graph(2), (1,)),
+                     [VariableHyperedge("z", (0, 1))]),
+        GraphPattern(GraphWithInterface(a3, (1,))),
+    ]
+
+
+def test_glued_and_carved_graphs_are_pinned():
+    """The exact vertex ids, labels, edges and interfaces that ``compose``,
+    ``realize`` and ``build_fragment`` return, hashed over seeded corpora:
+    compositions of every pair of 40 interface graphs, 30 seeded all-``a``
+    bindings of each of four patterns, and every specification of rank <= 2 of 50
+    random graphs.  The digest was taken before gluing became one function
+    and carving one walk."""
+    rng = random.Random(0x61E)
+    digest = hashlib.sha256()
+
+    def record(result):
+        if isinstance(result, LabeledGraph):
+            result = closed(result)
+        if result is not None:
+            graph = result.graph
+            result = (sorted(graph.vlabel.items()), sorted(graph.edges.items()),
+                      result.interface)
+        digest.update(repr(result).encode())
+
+    corpus = [random_interface_graph(rng, rng.randint(0, 5)) for _ in range(40)]
+    for g in corpus:
+        for h in corpus:
+            record(compose(g, h))
+    for pattern in _glue_pin_patterns():
+        for _ in range(30):
+            theta = {}
+            for label, rank in pattern.variables().items():
+                graph = random_graph(rng, rng.randint(rank, 4), vlabels=("a",))
+                theta[label] = GraphWithInterface(
+                    graph, tuple(rng.sample(graph.vertices, rank)))
+            record(realize(pattern, theta))
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 6))
+        for beta, incident, masks in boundary_specs(g, 2):
+            for mask in masks:
+                record(build_fragment(g, beta, chosen(incident, mask)))
+    assert digest.hexdigest() == (
+        "3dac531d1e9e5dc576aaa1edfeb094237a6a62e409bb06322f9576720c9fd5bf")
 
 
 @st.composite

@@ -34,7 +34,7 @@ from clausegraph.learner import (
 )
 from clausegraph.boundary import boundary_specs, brep_for_graph, enumerate_brep
 from clausegraph.membership import member, sub_w
-from clausegraph.teacher import Teacher
+from clausegraph.teacher import Teacher, generate_language
 
 from .conftest import random_graph, recorded_constructions, two_arm_grammar
 from .oracles import admit_each
@@ -518,6 +518,25 @@ def test_triangle_target_learned_exactly():
     assert member(hyp, hyp.start, tri, params)
     assert not member(hyp, hyp.start, path(3), params)
     assert learner.stable_from() is not None
+
+
+def test_two_variable_target_is_identified():
+    """two_arm's start clause has two body atoms.  Its members up to 6
+    vertices, presented in the teacher's order (unseeded) for two passes,
+    leave a hypothesis that is stable by the last stage, fires no update
+    from then on and generates the target's language at cap 7."""
+    gamma, params = two_arm_grammar()
+    teacher = Teacher(gamma, params, size_cap=6)
+    stages = 2 * len(teacher.language)
+    assert stages == 12
+    learner = Learner(teacher.answer, params)
+    records = learner.run(teacher.presentation(), stages)
+    stable = learner.stable_from()
+    assert stable is not None and stable <= stages
+    assert not any(r.update_fired for r in records if r.stage >= stable)
+    learned, target = ({closed(g).key for g in generate_language(system, params, 7)}
+                       for system in (learner.hypothesis, gamma))
+    assert learned == target
 
 
 def test_recorded_construction_collects_decisions(path_teacher):
