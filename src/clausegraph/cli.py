@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Thin adapters only: every subcommand parses files, calls one library
-function, and prints results.  Exit status 0 covers successful runs
-including negative answers, 1 covers domain failures (unreadable or invalid
-inputs), 2 covers usage errors.
+Thin adapters only: every subcommand parses files, calls the library, and
+prints results; bounds such as w are the library's to check.  ``learn``
+and ``learn --replay`` share one trace, built by ``_run_learn``, and a
+replay compares every recorded field but the stage file names.
+Exit status 0 covers successful runs including negative answers, 1 covers
+domain failures (unreadable or invalid inputs), 2 covers usage errors.
 """
 
 from __future__ import annotations
@@ -41,33 +43,37 @@ def _build_parser() -> argparse.ArgumentParser:
                     "generation, and learning from positive examples plus "
                     "membership queries.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grammar = argparse.ArgumentParser(add_help=False)
+    grammar.add_argument("--grammar", required=True)
+    grammar.add_argument("--params", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
 
     p = sub.add_parser("brep", help="enumerate boundary representations of a sample")
     p.add_argument("--sample", required=True)
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
+    p.set_defaults(run=_cmd_brep)
 
-    p = sub.add_parser("check", help="validate a grammar against parameter bounds")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("check", parents=[grammar],
+                       help="validate a grammar against parameter bounds")
+    p.set_defaults(run=_cmd_check)
 
-    p = sub.add_parser("member", help="decide membership of a graph")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("member", parents=[grammar, graph],
+                       help="decide membership of a graph")
     p.add_argument("--tree", action="store_true",
                    help="print a derivation tree for positive answers")
+    p.set_defaults(run=_cmd_member)
 
-    p = sub.add_parser("oracle", help="answer one membership query (alias of member)")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("oracle", parents=[grammar, graph],
+                       help="answer one membership query (alias of member)")
+    p.set_defaults(run=_cmd_member, tree=False)
 
-    p = sub.add_parser("generate", help="enumerate the language up to a vertex cap")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("generate", parents=[grammar],
+                       help="enumerate the language up to a vertex cap")
     p.add_argument("--cap", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("learn", help="run the learner against a simulated teacher")
     p.add_argument("--target", help="target grammar file")
@@ -79,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON config file; explicit flags win")
     p.add_argument("--replay", help="re-verify a recorded trace file")
+    p.set_defaults(run=_cmd_learn)
     return parser
 
 
@@ -111,47 +118,31 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _load_grammar_within_w(path, params):
-    """Load a grammar whose variables all have rank at most ``w``.  ``sub_w``
-    offers no fragment of a higher rank, so such a grammar would answer a
-    silent NO for every graph."""
-    gamma = load_grammar(path)
-    for i, cl in enumerate(gamma.clauses):
-        for lab, rank in cl.head.pattern.variables().items():
-            if rank > params.w:
-                raise ValueError(f"grammar {path}: clause {i}: variable {lab!r} "
-                                 f"has rank {rank} > w={params.w}")
-    return gamma
-
-
-def _cmd_member(args, want_tree: bool) -> int:
+def _cmd_member(args) -> int:
     params = load_params(args.params)
-    gamma = _load_grammar_within_w(args.grammar, params)
+    gamma = load_grammar(args.grammar)
     graphs = load_graphs(args.graph)
     for g in graphs:
         if not g.closed:
             raise ValueError("graph: membership queries take closed graphs "
                              "(empty interface)")
-        if want_tree:
-            ok, tree = member(gamma, gamma.start, g.graph, params, want_tree=True)
-            print("YES" if ok else "NO")
-            if ok and tree is not None:
-                print(format_tree(tree))
-        else:
-            print("YES" if member(gamma, gamma.start, g.graph, params) else "NO")
+        answer = member(gamma, gamma.start, g.graph, params, want_tree=args.tree)
+        ok, tree = answer if args.tree else (answer, None)
+        print("YES" if ok else "NO")
+        if tree is not None:
+            print(format_tree(tree))
     return 0
 
 
 def _cmd_generate(args) -> int:
     if args.cap < 0:
         raise ValueError("--cap: must be non-negative")
-    gamma = load_grammar(args.grammar)
-    params = load_params(args.params)
-    teacher = Teacher(gamma, params, size_cap=args.cap)
+    members = generate_language(load_grammar(args.grammar), load_params(args.params),
+                                args.cap)
     out = _out_dir(args.out)
-    for i, g in enumerate(teacher.language):
+    for i, g in enumerate(members):
         dump_graphs([closed(g)], out / f"member_{i:03d}.json")
-    print(f"wrote {len(teacher.language)} graphs to {out}")
+    print(f"wrote {len(members)} graphs to {out}")
     return 0
 
 
@@ -194,19 +185,15 @@ def _checked_config(loaded, flags) -> dict:
     return config
 
 
-def _learn_config(args) -> dict:
-    loaded = read_json(args.config) if args.config else {}
-    flags = {key: getattr(args, flag) for key, flag in _CONFIG_FLAGS.items()
-             if flag is not None and getattr(args, flag) is not None}
-    return _checked_config(loaded, flags)
-
-
 def _run_learn(config: dict) -> dict:
+    """Run the learner as ``config`` says.  Returns the stage records and
+    the whole trace that ``learn`` writes and ``--replay`` compares, less
+    the stage file names, which only ``learn`` knows."""
     params = load_params(config["params"])
-    gamma = _load_grammar_within_w(config["target"], params)
+    gamma = load_grammar(config["target"])
     teacher = Teacher(gamma, params, size_cap=config["size_cap"])
     learner = Learner(teacher.answer, params)
-    presentation = teacher.presentation(seed=config.get("seed"))
+    presentation = teacher.presentation(seed=config["seed"])
     stages = []
     for _ in range(config["stages"]):
         rec = learner.observe(next(presentation))
@@ -214,60 +201,46 @@ def _run_learn(config: dict) -> dict:
         log.info("stage %d: update=%s F=%d R=%d clauses=%d",
                  rec.stage, rec.update_fired, rec.basis_size,
                  rec.residual_size, rec.counters["admitted_clauses"])
-    return {
-        "teacher": teacher,
-        "learner": learner,
-        "stages": stages,
+    trace = {
+        "config": {k: config[k] for k in _CONFIG_FLAGS if k != "out"},
+        "stages": [rec.summary() for rec in stages],
+        "convergence": {
+            "stable_from": learner.stable_from(),
+            "final_digest": stages[-1].hypothesis_digest if stages else None,
+        },
+        "teacher_queries": {"total": teacher.queries_total,
+                            "unique": teacher.queries_unique,
+                            "cache_verified": teacher.verify_cache()},
     }
+    if config["check_cap"] is not None:
+        trace["agreement"] = _agreement(learner.hypothesis, teacher,
+                                        config["check_cap"])
+    return {"stages": stages, "trace": trace}
 
 
 def _cmd_learn(args) -> int:
     if args.replay:
         return _cmd_replay(args)
-    config = _learn_config(args)
+    flags = {key: getattr(args, flag) for key, flag in _CONFIG_FLAGS.items()
+             if flag is not None and getattr(args, flag) is not None}
+    config = _checked_config(read_json(args.config) if args.config else {}, flags)
     result = _run_learn(config)
-    learner, teacher, stages = result["learner"], result["teacher"], result["stages"]
+    stages, trace = result["stages"], result["trace"]
     out = _out_dir(config["out"])
-    trace_stages = []
-    for i, rec in enumerate(stages):
-        hyp_file = f"stage_{rec.stage:03d}.json"
+    entries = trace["stages"]
+    for i, (rec, entry) in enumerate(zip(stages, entries)):
+        entry["hypothesis_file"] = f"stage_{rec.stage:03d}.json"
         # a stage that kept its hypothesis object writes the same bytes as the
         # stage before; equal digests do not promise the same clause order
         if i and rec.hypothesis is stages[i - 1].hypothesis:
-            shutil.copyfile(out / trace_stages[-1]["hypothesis_file"], out / hyp_file)
+            shutil.copyfile(out / entries[i - 1]["hypothesis_file"],
+                            out / entry["hypothesis_file"])
         else:
-            dump_grammar(rec.hypothesis, out / hyp_file)
-        entry = rec.summary()
-        entry["hypothesis_file"] = hyp_file
-        trace_stages.append(entry)
-    trace = {
-        "config": {k: config[k] for k in
-                   ("target", "params", "size_cap", "stages", "check_cap", "seed")},
-        "stages": trace_stages,
-        **_run_facts(result),
-    }
-    trace["teacher_queries"]["cache_verified"] = teacher.verify_cache()
-    if config["check_cap"] is not None:
-        trace["agreement"] = _agreement(learner.hypothesis, teacher,
-                                        config["check_cap"])
+            dump_grammar(rec.hypothesis, out / entry["hypothesis_file"])
     (out / "trace.json").write_text(json.dumps(trace, indent=2, sort_keys=True) + "\n")
     print(json.dumps(trace["convergence"], sort_keys=True))
     print(f"wrote {len(stages)} stage hypotheses and trace.json to {out}")
     return 0
-
-
-def _run_facts(result: dict) -> dict:
-    """A run's convergence and teacher query counts, as its trace records
-    them; a replay compares each of these fields."""
-    stages, teacher = result["stages"], result["teacher"]
-    return {
-        "convergence": {
-            "stable_from": result["learner"].stable_from(),
-            "final_digest": stages[-1].hypothesis_digest if stages else None,
-        },
-        "teacher_queries": {"total": teacher.queries_total,
-                            "unique": teacher.queries_unique},
-    }
 
 
 def _agreement(hypothesis, teacher: Teacher, cap: int) -> dict:
@@ -293,29 +266,29 @@ def _cmd_replay(args) -> int:
     for i, old in enumerate(recorded):
         if not isinstance(old, dict):
             raise ValueError(f"trace.stages[{i}]: expected an object")
-    for section in ("convergence", "teacher_queries"):
+    trace.setdefault("agreement", {})  # recorded only by a run with a check_cap
+    sections = ("convergence", "teacher_queries", "agreement")
+    for section in sections:
         if not isinstance(trace.get(section), dict):
             raise ValueError(f"trace.{section}: expected an object")
-    result = _run_learn(config)
-    fresh = [rec.summary() for rec in result["stages"]]
+    fresh = _run_learn(config)["trace"]
+    pairs = [(f"stage {new['stage']}: ", old, new)
+             for old, new in zip(recorded, fresh["stages"])]
+    pairs += [(f"{section}.", trace[section], fresh.get(section, {}))
+              for section in sections]
     mismatches = []
-    for old, new in zip(recorded, fresh):
+    for prefix, old, new in pairs:
         for field in dict.fromkeys([*new, *old]):
             if field != "hypothesis_file" and old.get(field) != new.get(field):
                 mismatches.append(
-                    f"stage {new['stage']}: {field} {old.get(field)!r} != {new.get(field)!r}")
-    if len(recorded) != len(fresh):
-        mismatches.append(f"stage count {len(recorded)} != {len(fresh)}")
-    for section, facts in _run_facts(result).items():
-        for field, value in facts.items():
-            if trace[section].get(field) != value:
-                mismatches.append(
-                    f"{section}.{field} {trace[section].get(field)!r} != {value!r}")
+                    f"{prefix}{field} {old.get(field)!r} != {new.get(field)!r}")
+    if len(recorded) != len(fresh["stages"]):
+        mismatches.append(f"stage count {len(recorded)} != {len(fresh['stages'])}")
     if mismatches:
         for m in mismatches:
             print(f"replay mismatch: {m}")
         return 1
-    print(f"replay OK: {len(fresh)} stages verified")
+    print(f"replay OK: {len(fresh['stages'])} stages verified")
     return 0
 
 
@@ -326,29 +299,15 @@ def dispatch(argv=None) -> int:
         return 1
     logging.basicConfig(level=level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "brep":
-            return _cmd_brep(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "member":
-            return _cmd_member(args, want_tree=args.tree)
-        if args.command == "oracle":
-            return _cmd_member(args, want_tree=False)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "learn":
-            return _cmd_learn(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main():

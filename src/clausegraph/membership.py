@@ -219,8 +219,9 @@ class DerivedAtomSet:
 def _rule_groups(gamma: ClauseSystem) -> tuple:
     """The facts as (head pattern, head predicate, clause index), the rule
     groups in order of their first clause, an index from pool key to the
-    groups that use it, and the set of every clause head's sorted interface
-    labels, facts included; cached on ``gamma``.
+    groups that use it, the set of every clause head's sorted interface
+    labels, facts included, and the first head variable of the greatest
+    rank as (rank, clause index, label); cached on ``gamma``.
 
     A group holds the rules that share a head pattern (equal as structures,
     as the heads of clauses built from one learner candidate shape are) and
@@ -233,7 +234,7 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
     joins no group."""
     cache = getattr(gamma, "_rule_groups", None)
     if cache is None:
-        facts, groups, heads = [], {}, set()
+        facts, groups, heads, widest = [], {}, set(), (0, None, None)
         for i, cl in enumerate(gamma.clauses):
             head = cl.head.predicate.name
             heads.add(tuple(sorted(cl.head.pattern.base.interface_labels())))
@@ -244,6 +245,8 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
             for var, port_labels, name in cl.stars:
                 labels.setdefault(var, set()).add(port_labels)
                 preds.setdefault(var, set()).add(name)
+                if len(port_labels) > widest[0]:
+                    widest = (len(port_labels), i, var)
             if any(len(wanted) > 1 for wanted in labels.values()):
                 continue
             variables = sorted(labels)
@@ -258,8 +261,15 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
         for gi, (_, _, pool_keys, _) in enumerate(groups):
             for pk in set(pool_keys):
                 by_pool_key.setdefault(pk, []).append(gi)
-        cache = gamma._rule_groups = (facts, groups, by_pool_key, heads)
+        cache = gamma._rule_groups = (facts, groups, by_pool_key, heads, widest)
     return cache
+
+
+def _check_rank(gamma: ClauseSystem, w: int) -> None:
+    """``sub_w`` offers no fragment to bind a variable of rank above w."""
+    rank, i, var = _rule_groups(gamma)[4]
+    if rank > w:
+        raise ValueError(f"clause {i}: variable {var!r} has rank {rank} > w={w}")
 
 
 def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
@@ -277,7 +287,7 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
     from that realization.
     """
     out = DerivedAtomSet(universe)
-    facts, groups, by_pool_key, _ = _rule_groups(gamma)
+    facts, groups, by_pool_key, _, _ = _rule_groups(gamma)
 
     for pattern, head_pred, clause_index in facts:
         res = realize(pattern, {})
@@ -355,7 +365,8 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
     labels match no head is never found and never bound.  Leaving it out
     shifts universe indices and nothing else: the kept fragments keep their
     order and vertex ids, so every pair is derived in the same order, with
-    the same provenance."""
+    the same provenance.  A variable of rank above ``w`` is a ValueError."""
+    _check_rank(gamma, w)
     universe = sub_w(g, w, _rule_groups(gamma)[3])
     goal = universe.add(closed(g))
     out = saturate(gamma, universe, universe.find)
@@ -416,9 +427,11 @@ def member(gamma: ClauseSystem, p: PredicateSymbol, g: LabeledGraph,
            params: ParamTuple, want_tree: bool = False):
     """Does the start predicate derive ``g``?
 
-    Inputs beyond the degree bound are rejected outright.  With
+    A variable of rank above ``w`` is a ValueError, whatever the input;
+    inputs beyond the degree bound are then rejected outright.  With
     ``want_tree`` the result is a (bool, DerivationNode-or-None) pair.
     """
+    _check_rank(gamma, params.w)
     if p.name not in gamma.by_name or gamma.by_name[p.name].irank != 0:
         raise ValueError(f"predicate {p.name!r} is not a declared rank-0 predicate")
     if g.max_degree() > params.delta:

@@ -101,8 +101,20 @@ def test_oracle_alias(capsys, path_files):
     assert capsys.readouterr().out.strip() == "YES"
 
 
-def test_missing_flag_is_usage_error(capsys):
-    assert dispatch(["member", "--graph", "x.json"]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["brep", "--w", "1", "--delta", "2"], "required: --sample"),
+    (["check", "--grammar", "g.json"], "required: --params"),
+    (["member", "--graph", "x.json"], "required: --grammar, --params"),
+    (["oracle", "--grammar", "g.json", "--params", "p.json"], "required: --graph"),
+    (["generate", "--grammar", "g.json", "--params", "p.json", "--out", "o"],
+     "required: --cap"),
+    (["oracle", "--grammar", "g.json", "--params", "p.json", "--graph", "x.json",
+      "--tree"], "unrecognized arguments: --tree"),
+], ids=["brep", "check", "member", "oracle", "generate", "oracle-tree"])
+def test_missing_flag_is_usage_error(capsys, argv, message):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -186,7 +198,7 @@ def test_non_list_field_is_domain_error(capsys, tmp_path, path_files, field, nam
     assert f"error: {name}: expected a list, got 7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["member", "member --tree", "learn"])
+@pytest.mark.parametrize("command", ["member", "member --tree", "oracle", "learn"])
 def test_variable_rank_above_w_is_domain_error(capsys, tmp_path, path_files, command):
     # the path grammar's growing clauses bind rank-2 variables, which sub_w
     # never offers at w=1: without the check every answer would be NO
@@ -373,11 +385,15 @@ def test_learn_outputs_are_pinned(capsys, tmp_path, name, cap, stages,
 
 @pytest.fixture(scope="module")
 def triangle_trace(tmp_path_factory):
-    """The trace of a two-stage triangle run at cap 4."""
-    out_dir = tmp_path_factory.mktemp("triangle") / "run"
-    assert dispatch(["learn", "--target", data_path("triangle_grammar.json"),
-                     "--params", data_path("triangle_params.json"),
-                     "--cap", "4", "--stages", "2", "--out", str(out_dir)]) == 0
+    """The trace of a two-stage triangle run at cap 4, checked at cap 4."""
+    run_dir = tmp_path_factory.mktemp("triangle")
+    out_dir = run_dir / "run"
+    cfg = run_dir / "config.json"
+    cfg.write_text(json.dumps({
+        "target": data_path("triangle_grammar.json"),
+        "params": data_path("triangle_params.json"),
+        "size_cap": 4, "stages": 2, "check_cap": 4, "out": str(out_dir)}))
+    assert dispatch(["learn", "--config", str(cfg)]) == 0
     return json.loads((out_dir / "trace.json").read_text())
 
 
@@ -391,7 +407,9 @@ _STAGE_FIELDS = (
     "oracle_queries", "raw_representations", "shape_constant", "table_queries")
 _TAMPERED = ([("stages", i % 2, field) for i, field in enumerate(_STAGE_FIELDS)]
              + [("convergence", "stable_from"), ("convergence", "final_digest"),
-                ("teacher_queries", "total"), ("teacher_queries", "unique")])
+                ("teacher_queries", "total"), ("teacher_queries", "unique"),
+                ("teacher_queries", "cache_verified"), ("agreement", "agree"),
+                ("agreement", "differing")])
 
 
 @pytest.mark.parametrize("path", _TAMPERED,
@@ -428,6 +446,9 @@ def test_learn_replay_detects_tampering(capsys, tmp_path, triangle_trace, path):
     ({"config": {"target": "t.json", "params": "p.json", "size_cap": 4,
                  "stages": 1}, "stages": [], "convergence": [],
       "teacher_queries": {}}, "trace.convergence: expected an object"),
+    ({"config": {"target": "t.json", "params": "p.json", "size_cap": 4,
+                 "stages": 1}, "stages": [], "convergence": {},
+      "teacher_queries": {}, "agreement": []}, "trace.agreement: expected an object"),
 ])
 def test_learn_replay_rejects_malformed_trace(capsys, tmp_path, trace, message):
     trace_file = tmp_path / "trace.json"

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 import sys
 
 import pytest
@@ -22,7 +24,7 @@ from clausegraph.membership import (
     saturate,
     sub_w,
 )
-from clausegraph.teacher import generate_language
+from clausegraph.teacher import Teacher, generate_language
 
 from .conftest import (b_headed_grammar, learned_hypothesis, random_graph,
                        rank0_grammar, two_arm_grammar)
@@ -277,6 +279,30 @@ def test_member_requires_rank0_predicate():
         member(gamma, PredicateSymbol("q", 2), path_graph(2), params)
     with pytest.raises(ValueError):
         member(gamma, PredicateSymbol("ghost", 0), path_graph(2), params)
+
+
+def test_grammar_wider_than_w_is_refused():
+    """The path grammar's growing clause binds a rank-2 variable, which
+    ``sub_w`` never offers at w=1.  Every entry point that takes w refuses
+    the grammar before anything else, the degree shortcut included, where
+    it would otherwise answer a silent NO.  Generation takes no w."""
+    gamma, params = path_grammar()
+    narrow = dataclasses.replace(params, w=1)
+    refused = re.escape("clause 1: variable 'y' has rank 2 > w=1")
+    star = graph_from_parts([(i, "a") for i in range(4)],
+                            [(0, i, "e") for i in range(1, 4)])
+    assert star.max_degree() > narrow.delta
+    for g in (path_graph(4), star):
+        for want_tree in (False, True):
+            with pytest.raises(ValueError, match=refused):
+                member(gamma, gamma.start, g, narrow, want_tree=want_tree)
+        with pytest.raises(ValueError, match=refused):
+            derive_fixpoint(gamma, g, narrow.w)
+        with pytest.raises(ValueError, match=refused):
+            Teacher(gamma, narrow, size_cap=5).answer(g)
+    members = generate_language(gamma, narrow, 5)
+    assert len(members) == 4
+    assert closed(path_graph(4)).key in {closed(m).key for m in members}
 
 
 def test_twin_grammar_membership():
