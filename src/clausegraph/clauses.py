@@ -45,14 +45,6 @@ class Atom:
         self.predicate = predicate
         self.pattern = pattern
 
-    def __eq__(self, other):
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.predicate == other.predicate and self.pattern == other.pattern
-
-    def __hash__(self):
-        return hash((self.predicate, self.pattern))
-
     def __repr__(self):
         return f"Atom({self.predicate.name})"
 

@@ -12,6 +12,9 @@ outcome, a structural error is not.
 Everything is immutable after construction and all operations are pure, so
 values can be shared freely. Cached attributes (adjacency, canonical keys)
 are filled at most once and never change.
+
+Graphs and graphs with interface compare by structure: equal vertex ids,
+labels, edges and interface.  Patterns compare only by canonical key.
 """
 
 from __future__ import annotations
@@ -155,14 +158,6 @@ class VariableHyperedge:
     def rank(self) -> int:
         return len(self.ports)
 
-    def __eq__(self, other):
-        if not isinstance(other, VariableHyperedge):
-            return NotImplemented
-        return self.label == other.label and self.ports == other.ports
-
-    def __hash__(self):
-        return hash((self.label, self.ports))
-
     def __repr__(self):
         return f"VariableHyperedge({self.label!r}, ports={self.ports})"
 
@@ -171,7 +166,7 @@ class GraphPattern:
     """Graph with interface extended by variable hyperedges.
 
     A pattern with no hyperedges is ground and stands for its underlying
-    graph with interface.
+    graph with interface.  ``==`` is identity; ``key`` is isomorphism.
     """
 
     __slots__ = ("base", "hyperedges", "_key", "_renaming_keys")
@@ -233,14 +228,6 @@ class GraphPattern:
                 out.append((rename, canonical_key(self, rename_vars=rename)))
             self._renaming_keys = tuple(out)
         return self._renaming_keys
-
-    def __eq__(self, other):
-        if not isinstance(other, GraphPattern):
-            return NotImplemented
-        return self.base == other.base and self.hyperedges == other.hyperedges
-
-    def __hash__(self):
-        return hash((self.base, self.hyperedges))
 
     def __repr__(self):
         return (f"GraphPattern(n={self.base.graph.n}, m={self.base.graph.m}, "

@@ -39,7 +39,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
 from typing import Callable, Optional, Sequence
 
@@ -201,28 +201,12 @@ def _set_partitions(items):
 
 def _edge_assignments(n, d, elabels):
     """All labeled edge sets over vertices 0..n-1 with max degree <= d."""
-    pairs = list(combinations_with_replacement(range(n), 2))
-    pairs = [(u, v) for u, v in pairs if u != v]
+    pairs = list(combinations(range(n), 2))
     out = []
-
-    def rec(i, edges, deg):
-        if i == len(pairs):
-            out.append(dict(edges))
-            return
-        u, v = pairs[i]
-        rec(i + 1, edges, deg)
-        if deg[u] < d and deg[v] < d:
-            deg[u] += 1
-            deg[v] += 1
-            edges[(u, v)] = None
-            for lab in elabels:
-                edges[(u, v)] = lab
-                rec(i + 1, edges, deg)
-            del edges[(u, v)]
-            deg[u] -= 1
-            deg[v] -= 1
-
-    rec(0, {}, {i: 0 for i in range(n)})
+    for choice in product((None, *elabels), repeat=len(pairs)):
+        edges = {uv: lab for uv, lab in zip(pairs, choice) if lab is not None}
+        if max(Counter(v for uv in edges for v in uv).values(), default=0) <= d:
+            out.append(edges)
     return out
 
 

@@ -14,10 +14,10 @@ be found or bound (``derive_fixpoint``).  The input graph is a fragment
 like any other, so a graph is a member exactly when the start predicate
 holds on it.  Generation (``teacher.generate_language``) runs the
 same loop over a universe that starts empty and grows by every realized
-graph within its bounds.  The loop runs over groups of rules that share a
-head pattern and their variables' pools and differ only in the head
-predicate, so a binding is realized once for the whole group; the groups
-are read from each clause's ``stars``.
+graph within its bounds.  The loop runs over groups of rules whose heads
+share a canonical key, variable labels included, whose variables share
+pools, and which differ only in the head predicate, so a binding is
+realized once for the whole group (``_rule_groups``).
 
 Provenance is kept for every derived pair, so a successful query can be
 replayed as a derivation tree of any depth.
@@ -223,11 +223,14 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
     labels, facts included, and the first head variable of the greatest
     rank as (rank, clause index, label); cached on ``gamma``.
 
-    A group holds the rules that share a head pattern (equal as structures,
-    as the heads of clauses built from one learner candidate shape are) and
-    their variables' pool keys, so one binding realizes the same graph for
-    all of them: (head pattern, sorted variables, pool keys, members), the
-    members being (head predicate, clause index) in clause order.  A
+    A group holds the rules with the same sorted variables, pool keys and
+    head key: the head's canonical key with those variables renamed ``v0,
+    v1, ...``, its first cached ``renaming_keys``.  Equal head keys then
+    mean an isomorphism that keeps the interface order and every variable
+    label, so one binding realizes, up to isomorphism, the graph of every
+    member through the first member's head pattern: (head pattern, sorted
+    variables, pool keys, members), the members being (head predicate,
+    clause index) in clause order.  A
     variable's pool key, read from the clause's ``stars``, is the port
     labels of its stars and its sorted distinct body predicates; a clause
     whose stars disagree on a variable's port labels can never bind it and
@@ -252,7 +255,7 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
             variables = sorted(labels)
             pool_keys = tuple((next(iter(labels[v])), tuple(sorted(preds[v])))
                               for v in variables)
-            key = (cl.head.pattern, pool_keys)
+            key = (cl.head.pattern.renaming_keys[0][1], tuple(variables), pool_keys)
             if key not in groups:
                 groups[key] = (cl.head.pattern, variables, pool_keys, [])
             groups[key][3].append((head, i))
@@ -443,9 +446,9 @@ def member(gamma: ClauseSystem, p: PredicateSymbol, g: LabeledGraph,
     return ok, _expand_tree(gamma, derived, p.name, derived.goal) if ok else None
 
 
-def format_tree(node: DerivationNode, indent: int = 0) -> str:
+def format_tree(node: DerivationNode) -> str:
     lines = []
-    stack = [(node, indent, [])]  # (node, indent, the line naming it, if any)
+    stack = [(node, 0, [])]  # (node, indent, the line naming it, if any)
     while stack:
         node, indent, heading = stack.pop()
         pad = "  " * indent

@@ -19,6 +19,8 @@ from .clauses import ClauseSystem, ParamTuple
 from .graphs import GraphWithInterface, LabeledGraph, canonical_key
 from .membership import FragmentUniverse, member, saturate
 
+VERIFY_SAMPLE = 20  # cached answers and memoized keys that verify_cache rechecks
+
 
 def generate_language(gamma: ClauseSystem, params: ParamTuple,
                       size_cap: int) -> list:
@@ -82,8 +84,11 @@ class Teacher:
         self.query_cache: dict = {}
         self.key_memo: dict = {}
         self.queries_total = 0
-        self.queries_unique = 0
         self._language = None
+
+    @property
+    def queries_unique(self) -> int:
+        return len(self.query_cache)
 
     def answer(self, g: LabeledGraph) -> bool:
         self.queries_total += 1
@@ -92,7 +97,6 @@ class Teacher:
             key = self.key_memo[g] = canonical_key(GraphWithInterface(g, ()))
         if key in self.query_cache:
             return self.query_cache[key][1]
-        self.queries_unique += 1
         result = member(self.target, self.target.start, g, self.params)
         self.query_cache[key] = (g, result)
         return result
@@ -106,16 +110,16 @@ class Teacher:
     def presentation(self, seed: Optional[int] = None) -> Presentation:
         return Presentation(self.language, seed=seed)
 
-    def verify_cache(self, sample_size: int = 20, seed: int = 0) -> bool:
+    def verify_cache(self) -> bool:
         """Spot-check that cached answers match fresh recomputations and
         that memoized query keys match fresh canonical keys."""
-        rng = random.Random(seed)
+        rng = random.Random(0)
         items = sorted(self.query_cache.items())
-        if len(items) > sample_size:
-            items = rng.sample(items, sample_size)
+        if len(items) > VERIFY_SAMPLE:
+            items = rng.sample(items, VERIFY_SAMPLE)
         keyed = list(self.key_memo.items())
-        if len(keyed) > sample_size:
-            keyed = rng.sample(keyed, sample_size)
+        if len(keyed) > VERIFY_SAMPLE:
+            keyed = rng.sample(keyed, VERIFY_SAMPLE)
         return all(
             member(self.target, self.target.start, g, self.params) == cached
             for _, (g, cached) in items) and all(

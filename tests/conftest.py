@@ -41,13 +41,14 @@ def recorded_constructions(with_args: bool = False):
 
 
 @lru_cache(maxsize=None)
-def learned_hypothesis(builder, cap: int):
+def learned_hypothesis(builder, cap: int, seed=None):
     """The hypothesis and params after the target's language is presented
-    twice at ``cap``, in the teacher's order; built once per session."""
+    twice at ``cap``, in the teacher's order permuted by ``seed``; built
+    once per session."""
     gamma, params = builder()
     teacher = Teacher(gamma, params, size_cap=cap)
     learner = learner_mod.Learner(teacher.answer, params)
-    learner.run(teacher.presentation(), 2 * len(teacher.language))
+    learner.run(teacher.presentation(seed=seed), 2 * len(teacher.language))
     return learner.hypothesis, params
 
 
@@ -107,6 +108,33 @@ def b_headed_grammar():
                [Atom(q, star_pattern("x", ("b", "a")))]),
     ], start=p)
     return gamma, ParamTuple(m=4, s=1, t=1, w=2, d=2, delta=2, h_max=3)
+
+
+def iso_heads_grammar():
+    """All-``a`` arms on both sides of one ``b`` vertex: an A arm of two
+    vertices and a B arm of one or two.  The A and B rules have isomorphic
+    heads over the same variable, numbered (0, 1) against (5, 2), and the
+    same body predicate, so they share one rule group; the fact on B alone
+    tells the two predicates apart."""
+    p, a, b, q = (PredicateSymbol("p", 0), PredicateSymbol("A", 1),
+                  PredicateSymbol("B", 1), PredicateSymbol("q", 1))
+    lone_a = GraphWithInterface(LabeledGraph({0: "a"}, {}), (0,))
+    a_base = GraphWithInterface(LabeledGraph({0: "a", 1: "a"}, {(0, 1): "e"}), (0,))
+    b_base = GraphWithInterface(LabeledGraph({5: "a", 2: "a"}, {(2, 5): "e"}), (5,))
+    join_base = GraphWithInterface(
+        LabeledGraph({0: "a", 1: "b", 2: "a"}, {(0, 1): "e", (1, 2): "e"}), ())
+    gamma = ClauseSystem([p, a, b, q], [
+        Clause(Atom(q, GraphPattern(lone_a))),
+        Clause(Atom(b, GraphPattern(lone_a))),
+        Clause(Atom(a, GraphPattern(a_base, [VariableHyperedge("y", (1,))])),
+               [Atom(q, star_pattern("y", ("a",)))]),
+        Clause(Atom(b, GraphPattern(b_base, [VariableHyperedge("y", (2,))])),
+               [Atom(q, star_pattern("y", ("a",)))]),
+        Clause(Atom(p, GraphPattern(join_base, [VariableHyperedge("x", (0,)),
+                                                VariableHyperedge("z", (2,))])),
+               [Atom(a, star_pattern("x", ("a",))), Atom(b, star_pattern("z", ("a",)))]),
+    ], start=p)
+    return gamma, ParamTuple(m=5, s=2, t=2, w=1, d=2, delta=2, h_max=3)
 
 
 def random_graph(rng: random.Random, n: int, max_degree: int = 3,

@@ -537,7 +537,6 @@ class KeyEveryQueryTeacher(Teacher):
         key = canonical_key(GraphWithInterface(g, ()))
         if key in self.query_cache:
             return self.query_cache[key][1]
-        self.queries_unique += 1
         result = member(self.target, self.target.start, g, self.params)
         self.query_cache[key] = (g, result)
         return result

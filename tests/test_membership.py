@@ -8,6 +8,7 @@ import pytest
 import clausegraph.membership as membership_mod
 from clausegraph.boundary import brep_for_graph
 from clausegraph.clauses import Atom, Clause, ClauseSystem, PredicateSymbol
+from clausegraph.formats import dump_grammar, load_grammar
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
     GraphPattern,
@@ -26,8 +27,8 @@ from clausegraph.membership import (
 )
 from clausegraph.teacher import Teacher, generate_language
 
-from .conftest import (b_headed_grammar, learned_hypothesis, random_graph,
-                       rank0_grammar, two_arm_grammar)
+from .conftest import (b_headed_grammar, iso_heads_grammar, learned_hypothesis,
+                       random_graph, rank0_grammar, two_arm_grammar)
 from .enumeration import all_graphs_upto
 from .oracles import TopDownOracle, brute_iso, saturate_each, sub_w_each
 
@@ -439,11 +440,11 @@ def test_member_agrees_with_topdown_oracle(builder):
 
 _SYSTEMS = pytest.mark.parametrize("builder", [
     path_grammar, triangle_grammar, twin_grammar, rank0_grammar, two_arm_grammar,
-    b_headed_grammar,
+    b_headed_grammar, iso_heads_grammar,
     lambda: learned_hypothesis(twin_grammar, 5),
     lambda: learned_hypothesis(path_grammar, 5),
-], ids=["path", "triangle", "twin", "rank0", "two_arm", "b_headed", "learned_twin",
-        "learned_path"])
+], ids=["path", "triangle", "twin", "rank0", "two_arm", "b_headed", "iso_heads",
+        "learned_twin", "learned_path"])
 
 
 @_SYSTEMS
@@ -458,6 +459,47 @@ def test_grouped_saturation_matches_per_clause(builder):
         got = saturate(gamma, universe, universe.find).derived
         want = saturate_each(gamma, universe, universe.find)
         assert set(got) == set(want), f"n={g.n}, m={g.m}"
+
+
+def test_isomorphic_heads_share_a_rule_group():
+    """The A and B rules of ``iso_heads_grammar`` have isomorphic heads with
+    different vertex ids: they form one group, realized through the A
+    head, and a B node of a derivation tree still replays through its own
+    clause's head."""
+    gamma, params = iso_heads_grammar()
+    groups = membership_mod._rule_groups(gamma)[1]
+    assert [[pred for pred, _ in members] for *_, members in groups] == [["A", "B"], ["p"]]
+    assert groups[0][0] is gamma.clauses[2].head.pattern
+    g = path_graph(5, ["a", "a", "b", "a", "a"])
+    ok, tree = member(gamma, gamma.start, g, params, want_tree=True)
+    assert ok and {child.predicate for child in tree.children.values()} == {"A", "B"}
+    assert iso_check(tree.replay(gamma), closed(g))
+    assert [h.n for h in generate_language(gamma, params, 7)] == [4, 5]
+
+
+@pytest.mark.parametrize("learned", [(twin_grammar, 5), (path_grammar, 7, 2)],
+                         ids=["learned_twin", "learned_path"])
+def test_reloaded_hypothesis_has_the_same_rule_groups(learned, tmp_path):
+    """A learned hypothesis dumped and loaded again has its heads as new,
+    structurally equal objects; grouping by head key gives it the groups of
+    the hypothesis in memory, and the same verdicts on the target
+    language."""
+    gamma, params = learned_hypothesis(*learned)
+    dump_grammar(gamma, tmp_path / "hypothesis.json")
+    back = load_grammar(tmp_path / "hypothesis.json")
+
+    def shape(system):
+        facts, groups = membership_mod._rule_groups(system)[:2]
+        return ([(pred, i) for _, pred, i in facts],
+                [(variables, pool_keys, members) for _, variables, pool_keys, members in groups])
+
+    assert len(back.clauses) == len(gamma.clauses)
+    assert shape(back) == shape(gamma)
+    builder, cap = learned[:2]
+    language = generate_language(builder()[0], params, cap)
+    verdicts = [member(gamma, gamma.start, g, params) for g in language]
+    assert verdicts == [member(back, back.start, g, params) for g in language]
+    assert all(verdicts)
 
 
 # ---------------------------------------------------------------------------
