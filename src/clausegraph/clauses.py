@@ -14,24 +14,31 @@ and the clause's identity up to variable renaming and body order,
 ``clause_key``, pairs it with the head pattern's cached ``renaming_keys``.
 ``Clause.shape_key`` caches that key and is its only caller: each learner
 candidate builds its ``Clause`` once and is keyed by its ``shape_key``.
+``PredicateSymbol`` and ``ParamTuple`` are NamedTuple value records whose every
+construction, ``_make`` and ``_replace`` included, rejects a negative field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import GraphPattern, is_star_pattern, key_digest
 
 
-@dataclass(frozen=True)
-class PredicateSymbol:
+class _Predicate(NamedTuple):
     name: str
     irank: int
 
-    def __post_init__(self):
-        if self.irank < 0:
-            raise ValueError(f"predicate {self.name!r}: negative interface rank")
+
+class PredicateSymbol(_Predicate):
+    __slots__ = ()
+
+    def __new__(cls, name: str, irank: int):
+        if irank < 0:
+            raise ValueError(f"predicate {name!r}: negative interface rank")
+        return super().__new__(cls, name, irank)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
 class Atom:
@@ -151,12 +158,7 @@ class ClauseSystem:
                 f"clauses={len(self.clauses)}, start={self.start.name!r})")
 
 
-@dataclass(frozen=True)
-class ParamTuple:
-    """Structural bounds: clause count, head hyperedges, body length, variable
-    rank, pattern degree, generated-graph degree, and the head-pattern vertex
-    cap that keeps the candidate space finite."""
-
+class _Params(NamedTuple):
     m: int
     s: int
     t: int
@@ -165,10 +167,22 @@ class ParamTuple:
     delta: int
     h_max: int
 
-    def __post_init__(self):
-        for field in ("m", "s", "t", "w", "d", "delta", "h_max"):
-            if getattr(self, field) < 0:
+
+class ParamTuple(_Params):
+    """Structural bounds: clause count, head hyperedges, body length, variable
+    rank, pattern degree, generated-graph degree, and the head-pattern vertex
+    cap that keeps the candidate space finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for field, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"parameter {field} must be non-negative")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def check_bounded(gamma: ClauseSystem, params: ParamTuple) -> list:

@@ -217,19 +217,12 @@ def dump_grammar(gamma: ClauseSystem, path: PathLike):
 # parameters
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = ("m", "s", "t", "w", "d", "delta", "h_max")
-
-
-def params_to_obj(params: ParamTuple) -> dict:
-    return {f: getattr(params, f) for f in _PARAM_FIELDS}
-
-
 def params_from_obj(obj) -> ParamTuple:
     _expect(isinstance(obj, dict), "params", "expected an object")
     for f in obj:
-        _expect(f in _PARAM_FIELDS, f"params.{f}", "unknown field")
+        _expect(f in ParamTuple._fields, f"params.{f}", "unknown field")
     values = {}
-    for f in _PARAM_FIELDS:
+    for f in ParamTuple._fields:
         _expect(f in obj, f"params.{f}", "missing")
         values[f] = _as_int(obj[f], f"params.{f}")
     try:
@@ -243,4 +236,4 @@ def load_params(path: PathLike) -> ParamTuple:
 
 
 def dump_params(params: ParamTuple, path: PathLike):
-    Path(path).write_text(json.dumps(params_to_obj(params), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(params._asdict(), indent=2, sort_keys=True) + "\n")

@@ -29,7 +29,9 @@ small.  When a tested family's head composition is undefined, the candidate
 is rejected, mirroring how undefined compositions read as "not in the
 language" everywhere else; genuine clauses over faithful context
 representatives never trip this, since their head compositions land inside
-the language.
+the language.  ``Construction`` and ``StageRecord`` are NamedTuples, and
+``ClauseCandidate``, which builds its clause lazily, is a ``__slots__``
+class.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boundary import boundary_specs
 from .clauses import (Atom, Clause, ClauseSystem, ParamTuple,
@@ -146,7 +147,6 @@ class ObservationTable:
 # candidate enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClauseCandidate:
     """A clause over the basis: a head class, a head pattern with canonically
     named variables, and one (variable, port labels, class) body entry per
@@ -157,11 +157,13 @@ class ClauseCandidate:
     a hand-built candidate whose head rank differs from its pattern's is
     still admitted or rejected, although ``Atom`` refuses that pair."""
 
-    head: RepClass
-    pattern: GraphPattern
-    body: tuple
-    _clause: Optional[Clause] = field(default=None, init=False, repr=False,
-                                      compare=False)
+    __slots__ = ("head", "pattern", "body", "_clause")
+
+    def __init__(self, head: RepClass, pattern: GraphPattern, body: tuple):
+        self.head = head
+        self.pattern = pattern
+        self.body = body
+        self._clause: Optional[Clause] = None
 
     @property
     def is_fact(self) -> bool:
@@ -477,8 +479,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
 # hypothesis construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Construction:
+class Construction(NamedTuple):
     """One hypothesis construction: the hypothesis, its counters under the
     trace field names, what it was built from, and every candidate's
     verdict."""
@@ -543,8 +544,7 @@ def gamma_digest(gamma: ClauseSystem) -> str:
 # the stage loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StageRecord:
+class StageRecord(NamedTuple):
     """One stage's facts.  A stage that keeps its hypothesis repeats the
     counters of the construction that built it, so summing
     ``oracle_queries`` over the stages overstates the queries sent; a run's

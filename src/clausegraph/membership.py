@@ -20,14 +20,15 @@ pools, and which differ only in the head predicate, so a binding is
 realized once for the whole group (``_rule_groups``).
 
 Provenance is kept for every derived pair, so a successful query can be
-replayed as a derivation tree of any depth.
+replayed as a derivation tree of any depth.  ``Provenance`` is a NamedTuple;
+``DerivedAtomSet``, which saturation fills in, and ``DerivationNode``, which
+hashes by identity, are ``__slots__`` classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .boundary import boundary_specs, build_fragment, chosen
 from .clauses import ClauseSystem, ParamTuple, PredicateSymbol
@@ -196,18 +197,19 @@ def sub_w(g: LabeledGraph, w: int, heads: Optional[set] = None) -> FragmentUnive
     return universe
 
 
-@dataclass
-class Provenance:
+class Provenance(NamedTuple):
     clause_index: int
     bindings: dict  # variable label -> fragment index
 
 
-@dataclass
 class DerivedAtomSet:
-    universe: FragmentUniverse
-    derived: dict = field(default_factory=dict)  # (pred name, frag idx) -> Provenance
-    rounds: int = 0
-    goal: Optional[int] = None  # universe index of the whole input graph
+    __slots__ = ("universe", "derived", "rounds", "goal")
+
+    def __init__(self, universe: FragmentUniverse):
+        self.universe = universe
+        self.derived: dict = {}  # (pred name, frag idx) -> Provenance
+        self.rounds = 0
+        self.goal: Optional[int] = None  # universe index of the whole input graph
 
     def holds(self, pred: str, frag_idx: int) -> bool:
         return (pred, frag_idx) in self.derived
@@ -377,16 +379,19 @@ def derive_fixpoint(gamma: ClauseSystem, g: LabeledGraph, w: int) -> DerivedAtom
     return out
 
 
-@dataclass(eq=False)
 class DerivationNode:
     """One node of a derivation tree.  Trees can be as deep as the graph is
     large, so nothing here recurses: ``replay`` walks the tree as one flat
     list, ``repr`` shows one node, and nodes compare by identity."""
 
-    predicate: str
-    clause_index: int
-    graph: GraphWithInterface
-    children: dict  # variable label -> DerivationNode
+    __slots__ = ("predicate", "clause_index", "graph", "children")
+
+    def __init__(self, predicate: str, clause_index: int,
+                 graph: GraphWithInterface, children: dict):
+        self.predicate = predicate
+        self.clause_index = clause_index
+        self.graph = graph
+        self.children = children  # variable label -> DerivationNode
 
     def replay(self, gamma: ClauseSystem) -> Optional[GraphWithInterface]:
         """Re-realize the recorded tree bottom-up; the result should be

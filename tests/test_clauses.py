@@ -1,5 +1,12 @@
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import clausegraph
 from clausegraph.clauses import (
     Atom,
     Clause,
@@ -222,3 +229,64 @@ def test_predicate_naming_is_stable():
         graph_from_parts([(5, "a"), (9, "a")], [(5, 9, "e")]), (5,))
     assert predicate_for_fragment(frag) == predicate_for_fragment(renamed)
     assert predicate_for_fragment(frag).irank == 1
+
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """``import clausegraph`` generates no record code: compared with the
+    modules loaded before it (``site`` hooks may load some first), the
+    import adds neither ``dataclasses`` nor ``inspect``."""
+    src = str(Path(clausegraph.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys; before = set(sys.modules); import clausegraph; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "clausegraph.learner" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+VALUE_RECORDS = [
+    (PredicateSymbol, ("q", 2), "PredicateSymbol(name='q', irank=2)"),
+    (ParamTuple, (3, 1, 1, 2, 2, 2, 3),
+     "ParamTuple(m=3, s=1, t=1, w=2, d=2, delta=2, h_max=3)"),
+]
+
+
+@pytest.mark.parametrize("cls, values, shown", VALUE_RECORDS,
+                         ids=["PredicateSymbol", "ParamTuple"])
+def test_value_records_compare_hash_and_show_by_value(cls, values, shown):
+    record = cls(*values)
+    same = cls(**dict(zip(cls._fields, values)))
+    assert record == same and hash(record) == hash(same)
+    assert record != cls(*values[:-1], values[-1] + 1)
+    assert repr(record) == repr(same) == shown
+    assert record._replace() == record and cls._make(values) == record
+    for name in (cls._fields[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+@pytest.mark.parametrize("cls, values", [r[:2] for r in VALUE_RECORDS],
+                         ids=["PredicateSymbol", "ParamTuple"])
+def test_value_records_reject_a_negative_field_however_built(cls, values):
+    """``_make`` and ``_replace`` (and ``copy.replace``, from Python 3.13)
+    check the fields too, although a NamedTuple's own ``_make`` calls
+    ``tuple.__new__`` directly."""
+    last = cls._fields[-1]
+    negative = (*values[:-1], -1)
+    record = cls(*values)
+    builds = [lambda: cls(*negative),
+              lambda: cls(**dict(zip(cls._fields, negative))),
+              lambda: record._replace(**{last: -1}),
+              lambda: cls._make(negative)]
+    if hasattr(copy, "replace"):
+        builds.append(lambda: copy.replace(record, **{last: -1}))
+    for build in builds:
+        with pytest.raises(ValueError, match="negative"):
+            build()

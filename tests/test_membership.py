@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import sys
@@ -19,6 +18,7 @@ from clausegraph.graphs import (
     iso_check,
 )
 from clausegraph.membership import (
+    DerivationNode,
     derive_fixpoint,
     format_tree,
     member,
@@ -288,7 +288,7 @@ def test_grammar_wider_than_w_is_refused():
     the grammar before anything else, the degree shortcut included, where
     it would otherwise answer a silent NO.  Generation takes no w."""
     gamma, params = path_grammar()
-    narrow = dataclasses.replace(params, w=1)
+    narrow = params._replace(w=1)
     refused = re.escape("clause 1: variable 'y' has rank 2 > w=1")
     star = graph_from_parts([(i, "a") for i in range(4)],
                             [(0, i, "e") for i in range(1, 4)])
@@ -332,6 +332,18 @@ def test_derivation_tree_replays_to_goal():
             replayed = tree.replay(gamma)
             assert replayed is not None
             assert iso_check(replayed, closed(g))
+
+
+def test_derivation_nodes_hash_by_identity():
+    """``replay`` keys a dict by node, so two nodes with equal fields must
+    stay two keys."""
+    gamma, params = path_grammar()
+    ok, tree = member(gamma, gamma.start, path_graph(3), params, want_tree=True)
+    twin = DerivationNode(tree.predicate, tree.clause_index, tree.graph,
+                          tree.children)
+    assert ok and twin != tree
+    assert len({tree: 0, twin: 1}) == 2
+    assert iso_check(twin.replay(gamma), tree.replay(gamma))
 
 
 def test_rank0_variable_binds_the_whole_graph():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 
 import pytest
@@ -57,7 +56,7 @@ def test_twin_language_at_cap_6():
 def path_grammar_delta1():
     # only the 2-vertex path stays within the degree bound
     gamma, params = path_grammar()
-    return gamma, dataclasses.replace(params, delta=1)
+    return gamma, params._replace(delta=1)
 
 
 @pytest.mark.parametrize("builder, vlabels, cap", [
