@@ -123,7 +123,7 @@ def _cmd_member(args) -> int:
     gamma = load_grammar(args.grammar)
     graphs = load_graphs(args.graph)
     for g in graphs:
-        if not g.closed:
+        if g.interface:
             raise ValueError("graph: membership queries take closed graphs "
                              "(empty interface)")
         answer = member(gamma, gamma.start, g.graph, params, want_tree=args.tree)

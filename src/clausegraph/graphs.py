@@ -10,8 +10,8 @@ Malformed inputs raise ``ValueError`` instead — "undefined" is a legitimate
 outcome, a structural error is not.
 
 Everything is immutable after construction and all operations are pure, so
-values can be shared freely. Cached attributes (adjacency, canonical keys)
-are filled at most once and never change.
+values can be shared freely. Cached attributes (adjacency, canonical key,
+signature) are filled at most once and never change.
 
 Graphs and graphs with interface compare by structure: equal vertex ids,
 labels, edges and interface.  Patterns compare only by canonical key.
@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 class LabeledGraph:
     """Finite undirected labeled graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("vertices", "vlabel", "edges", "_adj", "_degrees")
+    __slots__ = ("vertices", "vlabel", "edges", "_adj")
 
     def __init__(self, vlabel: Mapping[int, str], edges: Mapping[tuple, str]):
         self.vlabel = dict(vlabel)
@@ -48,7 +48,6 @@ class LabeledGraph:
             adj[u].append((v, lab))
             adj[v].append((u, lab))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._degrees = {v: len(nbrs) for v, nbrs in self._adj.items()}
 
     @property
     def n(self) -> int:
@@ -59,10 +58,10 @@ class LabeledGraph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max(self._degrees.values(), default=0)
+        return max(map(len, self._adj.values()), default=0)
 
     def neighbors(self, v: int) -> tuple:
         """Sorted (neighbor, edge label) pairs of ``v``."""
@@ -87,9 +86,10 @@ EMPTY_GRAPH = LabeledGraph({}, {})
 
 
 class GraphWithInterface:
-    """A labeled graph plus an ordered tuple of distinct interface vertices."""
+    """A labeled graph plus an ordered tuple of distinct interface vertices;
+    ``key`` and ``signature`` are computed on first use and kept."""
 
-    __slots__ = ("graph", "interface", "_key", "_iface_labels")
+    __slots__ = ("graph", "interface", "_key", "_signature", "_iface_labels")
 
     def __init__(self, graph: LabeledGraph, interface: Sequence[int]):
         interface = tuple(interface)
@@ -101,15 +101,12 @@ class GraphWithInterface:
         self.graph = graph
         self.interface = interface
         self._key = None
+        self._signature = None
         self._iface_labels = None
 
     @property
     def rank(self) -> int:
         return len(self.interface)
-
-    @property
-    def closed(self) -> bool:
-        return not self.interface
 
     def interface_labels(self) -> tuple:
         if self._iface_labels is None:
@@ -121,6 +118,12 @@ class GraphWithInterface:
         if self._key is None:
             self._key = canonical_key(self)
         return self._key
+
+    @property
+    def signature(self) -> tuple:
+        if self._signature is None:
+            self._signature = invariant_signature(self)
+        return self._signature
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphWithInterface):
@@ -336,22 +339,18 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
     vertex ``u`` by an edge labelled ``lab`` may map only to a neighbour of
     ``u``'s image joined by ``lab``, so it has at most Δ candidates, and only
     a root scans all of ``b``.  A miss between two fragments that differ only
-    in where the interface sits then fails within O(n·Δ) checks.  The sorted
-    ``(label, degree)`` pairs of both graphs are compared up front: roots
-    match any vertex of equal label and degree, so without it a graph of
-    isolated vertices that differs in one label backtracks factorially.
+    in where the interface sits then fails within O(n·Δ) checks.  The cached
+    signatures are compared up front; equal ones give equal sizes and ranks,
+    equal labels and degrees at each interface position, and equal sorted
+    ``(label, degree)`` pairs.  The last matters because roots match any
+    vertex of equal label and degree, so without it a graph of isolated
+    vertices that differs in one label backtracks factorially.
     """
+    if a.signature != b.signature:
+        return False
     ga, gb = a.graph, b.graph
-    if ga.n != gb.n or ga.m != gb.m or a.rank != b.rank:
-        return False
-    if (sorted((ga.vlabel[v], ga.degree(v)) for v in ga.vertices)
-            != sorted((gb.vlabel[w], gb.degree(w)) for w in gb.vertices)):
-        return False
     mapping = dict(zip(a.interface, b.interface))
     used = set(b.interface)
-    for v, w in mapping.items():
-        if ga.vlabel[v] != gb.vlabel[w] or ga.degree(v) != gb.degree(w):
-            return False
     for v in a.interface:
         if not _edges_consistent(ga, gb, v, mapping, used):
             return False
@@ -539,24 +538,28 @@ def key_digest(g: GraphLike) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cheap invariants (bucketing aid for iso-dedup without full canonicalization)
+# cheap invariant (bucket key of iso-dedup, and iso_check's pre-test)
 # ---------------------------------------------------------------------------
 
 def invariant_signature(g: GraphWithInterface) -> tuple:
     """Isomorphism-invariant fingerprint; equal keys imply equal signatures.
-    It is the bucket key of ``membership.FragmentUniverse``.
+    Read through ``GraphWithInterface.signature``, it is the bucket key of
+    ``membership.FragmentUniverse`` and the pre-test of ``iso_check``.
 
-    Rank, n, m, the sorted edge labels, the interface's labels and degrees,
-    and one sorted entry per vertex: its label, its degree and its
-    breadth-first distance to each interface vertex in interface order, -1
-    where unreachable.  Distances from individualised vertices are the
-    textbook cheap vertex invariant (McKay & Piperno, *Practical graph
-    isomorphism II*, 2014).  They separate fragments that differ only in
-    where the interface sits along a path, which labels, degrees and
-    neighbour labels do not.  Cost O(w·(n+m)).
+    Two fields: the sorted edge labels, and one sorted entry per vertex: its
+    label, its degree and its breadth-first distance to each interface
+    vertex in interface order, -1 where unreachable.  The entries fix n
+    (their number), m (half their degree sum) and the rank (the length of
+    each distance tuple), and interface vertex i is the one entry with
+    distance 0 at position i, so they also fix the interface's labels and
+    degrees.  Distances from individualised vertices are the textbook cheap
+    vertex invariant (McKay & Piperno, *Practical graph isomorphism II*,
+    2014).  They separate fragments that differ only in where the interface
+    sits along a path, which labels, degrees and neighbour labels do not.
+    Cost O(w·(n+m)).
     """
     graph = g.graph
-    adj, degrees, vlabel = graph._adj, graph._degrees, graph.vlabel
+    adj, vlabel = graph._adj, graph.vlabel
     dists = []
     for s in g.interface:
         dist = {s: 0}
@@ -569,13 +572,8 @@ def invariant_signature(g: GraphWithInterface) -> tuple:
                     queue.append(x)
         dists.append(dist)
     return (
-        g.rank,
-        graph.n,
-        graph.m,
         tuple(sorted(graph.edges.values())),
-        g.interface_labels(),
-        tuple([degrees[v] for v in g.interface]),
-        tuple(sorted([(vlabel[v], degrees[v], tuple([d.get(v, -1) for d in dists]))
+        tuple(sorted([(vlabel[v], len(adj[v]), tuple([d.get(v, -1) for d in dists]))
                       for v in graph.vertices])),
     )
 

@@ -30,8 +30,8 @@ is rejected, mirroring how undefined compositions read as "not in the
 language" everywhere else; genuine clauses over faithful context
 representatives never trip this, since their head compositions land inside
 the language.  ``Construction`` and ``StageRecord`` are NamedTuples, and
-``ClauseCandidate``, which builds its clause lazily, is a ``__slots__``
-class.
+``ClauseCandidate``, which builds its clause when it is made, is a
+``__slots__`` class.
 """
 
 from __future__ import annotations
@@ -151,19 +151,19 @@ class ClauseCandidate:
     """A clause over the basis: a head class, a head pattern with canonically
     named variables, and one (variable, port labels, class) body entry per
     hyperedge of the pattern, in hyperedge order.  The candidate builds its
-    ``Clause`` on the first ``to_clause`` call and keeps it, so every
-    hypothesis that admits the candidate holds that one clause object, and
-    ``key`` is the clause's cached ``shape_key``.  The clause is built lazily:
-    a hand-built candidate whose head rank differs from its pattern's is
-    still admitted or rejected, although ``Atom`` refuses that pair."""
+    ``Clause`` when it is made and keeps it, so every hypothesis that admits
+    the candidate holds that one clause object, and ``key`` is the clause's
+    cached ``shape_key``."""
 
-    __slots__ = ("head", "pattern", "body", "_clause")
+    __slots__ = ("head", "pattern", "body", "clause")
 
     def __init__(self, head: RepClass, pattern: GraphPattern, body: tuple):
         self.head = head
         self.pattern = pattern
         self.body = body
-        self._clause: Optional[Clause] = None
+        self.clause = Clause(
+            Atom(head.predicate, pattern),
+            [Atom(cls.predicate, _shared_star(var, labels)) for var, labels, cls in body])
 
     @property
     def is_fact(self) -> bool:
@@ -171,16 +171,10 @@ class ClauseCandidate:
 
     @property
     def key(self) -> tuple:
-        clause = self._clause if self._clause is not None else self.to_clause()
-        return clause.shape_key
+        return self.clause.shape_key
 
     def to_clause(self) -> Clause:
-        if self._clause is None:
-            self._clause = Clause(
-                Atom(self.head.predicate, self.pattern),
-                [Atom(cls.predicate, _shared_star(var, labels))
-                 for var, labels, cls in self.body])
-        return self._clause
+        return self.clause
 
 
 @cache

@@ -36,7 +36,6 @@ from .graphs import (
     GraphWithInterface,
     LabeledGraph,
     closed,
-    invariant_signature,
     iso_check,
     realize,
 )
@@ -46,43 +45,36 @@ class FragmentUniverse:
     """Fragments deduplicated up to isomorphism: those of one host graph for
     membership, or the graphs derived so far for generation.
 
-    Lookup buckets on ``invariant_signature``, which records each vertex's
-    distances to the interface, and resolves within a bucket by exact
-    isomorphism (``iso_check``).  Fragments that differ only in where the
-    interface sits fall into different buckets, so nearly every exact test
-    finds its match.  ``sub_w`` resolves most specifications without a
-    lookup, by the classes of their parts, and ``append``s a fragment it
-    knows to be new.
+    Lookup buckets on each fragment's cached ``signature``, which records
+    each vertex's distances to the interface, and resolves within a bucket
+    by exact isomorphism (``iso_check``).  Fragments that differ only in
+    where the interface sits fall into different buckets, so nearly every
+    exact test finds its match.  ``sub_w`` resolves most specifications
+    without a lookup, by the classes of their parts, and ``append``s a
+    fragment it knows to be new.
     """
 
     def __init__(self):
         self.fragments: list[GraphWithInterface] = []
         self.by_labels: dict[tuple, list[int]] = {}  # interface labels -> indices
-        self._buckets: dict[tuple, list[int]] = {}
+        self._buckets: dict[tuple, list[int]] = {}  # signature -> indices
 
     def add(self, g: GraphWithInterface) -> int:
-        bucket = self._buckets.setdefault(invariant_signature(g), [])
-        idx = self.find(g, bucket)
-        return self.append(g, bucket) if idx is None else idx
+        idx = self.find(g)
+        return self.append(g) if idx is None else idx
 
-    def append(self, g: GraphWithInterface, bucket: Optional[list] = None) -> int:
+    def append(self, g: GraphWithInterface) -> int:
         """Index of ``g`` as a new class; the caller knows no fragment of the
-        universe is isomorphic to it.  ``bucket`` is ``g``'s signature
-        bucket when the caller has already looked it up."""
-        if bucket is None:
-            bucket = self._buckets.setdefault(invariant_signature(g), [])
+        universe is isomorphic to it."""
         idx = len(self.fragments)
         self.fragments.append(g)
         self.by_labels.setdefault(g.interface_labels(), []).append(idx)
-        bucket.append(idx)
+        self._buckets.setdefault(g.signature, []).append(idx)
         return idx
 
-    def find(self, g: GraphWithInterface, bucket: Optional[list] = None) -> Optional[int]:
-        """Index of the fragment isomorphic to ``g``, or None.  ``bucket`` is
-        ``g``'s signature bucket when the caller has already looked it up."""
-        if bucket is None:
-            bucket = self._buckets.get(invariant_signature(g), ())
-        for idx in bucket:
+    def find(self, g: GraphWithInterface) -> Optional[int]:
+        """Index of the fragment isomorphic to ``g``, or None."""
+        for idx in self._buckets.get(g.signature, ()):
             if iso_check(self.fragments[idx], g):
                 return idx
         return None

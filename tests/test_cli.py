@@ -20,7 +20,7 @@ from clausegraph.formats import (
     load_graphs,
 )
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
-from clausegraph.graphs import closed, graph_from_parts
+from clausegraph.graphs import GraphWithInterface, closed, graph_from_parts
 from clausegraph.teacher import generate_language
 
 
@@ -99,6 +99,20 @@ def test_oracle_alias(capsys, path_files):
                      "--params", path_files["params"]])
     assert code == 0
     assert capsys.readouterr().out.strip() == "YES"
+
+
+@pytest.mark.parametrize("command", ["member", "oracle"])
+def test_graph_with_interface_is_domain_error(capsys, tmp_path, path_files, command):
+    gpath = tmp_path / "open.json"
+    dump_graphs([GraphWithInterface(graph_from_parts([(0, "a"), (1, "a")],
+                                                     [(0, 1, "e")]), (0,))], gpath)
+    code = dispatch([command, "--grammar", path_files["grammar"],
+                     "--graph", str(gpath), "--params", path_files["params"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: graph: membership queries take closed graphs "
+                            "(empty interface)\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

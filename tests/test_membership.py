@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import clausegraph.graphs as graphs_mod
 import clausegraph.membership as membership_mod
 from clausegraph.boundary import brep_for_graph
 from clausegraph.clauses import Atom, Clause, ClauseSystem, PredicateSymbol
@@ -210,6 +211,30 @@ def test_universe_find_up_to_iso():
     assert idx is not None
     assert iso_check(u[idx], probe)
     assert u.find(GraphWithInterface(graph_from_parts([(0, "b")]), (0,))) is None
+
+
+@pytest.mark.parametrize("n, w", [(8, 2), (12, 1)])
+def test_each_fragment_signature_is_computed_once(monkeypatch, n, w):
+    # the signature is cached on the fragment: building the universe keys
+    # every built fragment once, and looking each kept one up again reads
+    # the cache
+    built, keyed = [], []
+    build = membership_mod.build_fragment
+    signature = graphs_mod.invariant_signature
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def keying(g):
+        keyed.append(g)
+        return signature(g)
+
+    monkeypatch.setattr(membership_mod, "build_fragment", building)
+    monkeypatch.setattr(graphs_mod, "invariant_signature", keying)
+    universe = sub_w(path_graph(n), w)
+    assert [universe.find(f) for f in universe.fragments] == list(range(len(universe)))
+    assert len(keyed) == len({id(g) for g in keyed}) == len(built)
 
 
 # ---------------------------------------------------------------------------
