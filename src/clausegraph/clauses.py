@@ -14,12 +14,15 @@ and the clause's identity up to variable renaming and body order,
 ``clause_key``, pairs it with the head pattern's cached ``renaming_keys``.
 ``Clause.shape_key`` caches that key and is its only caller: each learner
 candidate builds its ``Clause`` once and is keyed by its ``shape_key``.
+A system's identity up to clause order is its cached ``digest``, hashed on
+first read from its predicates, start symbol and sorted clause keys.
 ``PredicateSymbol`` and ``ParamTuple`` are NamedTuple value records whose every
 construction, ``_make`` and ``_replace`` included, rejects a negative field.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import GraphPattern, is_star_pattern, key_digest
@@ -64,10 +67,6 @@ class Clause:
         self.body = tuple(body)
         self._stars = None
         self._shape_key = None
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
 
     @property
     def stars(self) -> tuple:
@@ -116,7 +115,8 @@ def check_fixed_interface(clause: Clause) -> bool:
 
 
 class ClauseSystem:
-    """A finite set of fixed-interface clauses with a designated start symbol."""
+    """A finite set of fixed-interface clauses with a designated start
+    symbol; ``digest`` is its identity up to clause order, hashed once."""
 
     def __init__(self, predicates: Iterable[PredicateSymbol],
                  clauses: Iterable[Clause], start: PredicateSymbol):
@@ -146,12 +146,17 @@ class ClauseSystem:
                 seen[key] = cl
                 kept.append(cl)
         self.clauses = tuple(kept)
+        self._digest = None
 
-    def digest_key(self) -> tuple:
-        """Deterministic identity of the whole system up to clause order."""
-        return (tuple((p.name, p.irank) for p in self.predicates),
-                self.start.name,
-                tuple(sorted(cl.shape_key for cl in self.clauses)))
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            key = (tuple((p.name, p.irank) for p in self.predicates),
+                   self.start.name,
+                   tuple(sorted(cl.shape_key for cl in self.clauses)))
+            self._digest = hashlib.blake2b(repr(key).encode(),
+                                           digest_size=8).hexdigest()
+        return self._digest
 
     def __repr__(self):
         return (f"ClauseSystem(predicates={len(self.predicates)}, "
@@ -188,7 +193,8 @@ class ParamTuple(_Params):
 def check_bounded(gamma: ClauseSystem, params: ParamTuple) -> list:
     """Violations of the structural bounds; empty means bounded.  Only target
     systems are held to the clause-count bound — learned hypotheses may
-    exceed it."""
+    exceed it.  Only head patterns are held to the degree bound: every body
+    atom of a system is an edgeless star."""
     out = []
     if len(gamma.clauses) > params.m:
         out.append(f"clause count {len(gamma.clauses)} exceeds m={params.m}")
@@ -201,11 +207,9 @@ def check_bounded(gamma: ClauseSystem, params: ParamTuple) -> list:
                        f"hyperedges > s={params.s}")
         if len(cl.body) > params.t:
             out.append(f"clause {i}: body has {len(cl.body)} atoms > t={params.t}")
-        for where, pattern in (("head", cl.head.pattern),
-                               *((f"body[{j}]", a.pattern) for j, a in enumerate(cl.body))):
-            deg = pattern.base.graph.max_degree()
-            if deg > params.d:
-                out.append(f"clause {i}: {where} pattern has max degree {deg} > d={params.d}")
+        deg = cl.head.pattern.base.graph.max_degree()
+        if deg > params.d:
+            out.append(f"clause {i}: head pattern has max degree {deg} > d={params.d}")
     return out
 
 

@@ -14,7 +14,9 @@ values can be shared freely. Cached attributes (adjacency, canonical key,
 signature) are filled at most once and never change.
 
 Graphs and graphs with interface compare by structure: equal vertex ids,
-labels, edges and interface.  Patterns compare only by canonical key.
+labels, edges and interface.  Patterns compare only by canonical key:
+``GraphPattern.key`` is the key once the variables are renamed ``v0, v1,
+...`` in sorted label order, the first of the cached ``renaming_keys``.
 """
 
 from __future__ import annotations
@@ -169,10 +171,11 @@ class GraphPattern:
     """Graph with interface extended by variable hyperedges.
 
     A pattern with no hyperedges is ground and stands for its underlying
-    graph with interface.  ``==`` is identity; ``key`` is isomorphism.
+    graph with interface.  ``==`` is identity; ``key`` is isomorphism once
+    the variables are renamed ``v0, v1, ...`` in sorted label order.
     """
 
-    __slots__ = ("base", "hyperedges", "_key", "_renaming_keys")
+    __slots__ = ("base", "hyperedges", "_renaming_keys")
 
     def __init__(self, base: GraphWithInterface, hyperedges: Iterable[VariableHyperedge] = ()):
         hyperedges = tuple(sorted(hyperedges, key=lambda h: (h.label, h.ports)))
@@ -185,12 +188,7 @@ class GraphPattern:
                 raise ValueError(f"variable {h.label!r} used with two different ranks")
         self.base = base
         self.hyperedges = hyperedges
-        self._key = None
         self._renaming_keys = None
-
-    @property
-    def ground(self) -> bool:
-        return not self.hyperedges
 
     @property
     def interface(self) -> tuple:
@@ -208,21 +206,19 @@ class GraphPattern:
         return dict(sorted(out.items()))
 
     def as_interface_graph(self) -> GraphWithInterface:
-        if not self.ground:
+        if self.hyperedges:
             raise ValueError("pattern has hyperedges; not a plain graph with interface")
         return self.base
 
     @property
     def key(self):
-        if self._key is None:
-            self._key = canonical_key(self)
-        return self._key
+        return self.renaming_keys[0][1]
 
     @property
     def renaming_keys(self) -> tuple:
         """``(renaming, canonical key)`` for every bijection of the variable
-        labels, in sorted order, onto ``v0, v1, ...``; a ground pattern has
-        the one empty renaming."""
+        labels, in sorted order, onto ``v0, v1, ...``, the sorted-order
+        renaming first; a ground pattern has the one empty renaming."""
         if self._renaming_keys is None:
             labels = list(self.variables())
             out = []
@@ -275,7 +271,7 @@ def _add_copy(vlabel: dict, edges: dict, g: LabeledGraph,
             t = len(vlabel)
             vlabel[t] = g.vlabel[v]
         vmap[v] = t
-    for (u, v), lab in sorted(g.edges.items()):
+    for (u, v), lab in g.edges.items():
         u, v = vmap[u], vmap[v]
         if edges.setdefault((u, v) if u < v else (v, u), lab) != lab:
             return None

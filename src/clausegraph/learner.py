@@ -36,7 +36,6 @@ the language.  ``Construction`` and ``StageRecord`` are NamedTuples, and
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import Counter
 from functools import cache
@@ -392,7 +391,8 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
     class whose interface labels differ from its port labels makes the body
     dead: every column of that class's row carries the row's labels, since
     composition checks them, so no family realizes and every head is
-    admitted after all its families, without realizing any.
+    admitted after all its families, without realizing any.  Every body
+    class must be a row of ``table``; another is a ``KeyError``.
     """
     memo = memo if memo is not None else _AdmissionMemo()
     counter = counter if counter is not None else Counter()
@@ -412,9 +412,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
     variables = sorted({var for var, _, _ in first.body})
     per_var_cols = []
     for var in variables:
-        rows = [table.row_of.get(cls.key) for v, _, cls in first.body if v == var]
-        if None in rows:
-            return admitted  # body predicate outside the table: no family exists
+        rows = [table.row_of[cls.key] for v, _, cls in first.body if v == var]
         cols = frozenset.intersection(*(table.true_cols[ri] for ri in rows))
         if not cols:
             return admitted  # vacuous admission: no all-positive family
@@ -530,8 +528,7 @@ def construct_gamma(basis: Sequence[RepClass], residual: Sequence[RepClass],
 
 
 def gamma_digest(gamma: ClauseSystem) -> str:
-    return hashlib.blake2b(repr(gamma.digest_key()).encode(),
-                           digest_size=8).hexdigest()
+    return gamma.digest
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +589,7 @@ class Learner:
         self.records: list = []
         self._vlabels: set = set()
         self._elabels: set = set()
-        self._cache = None  # (state key, hypothesis, counters, digest)
+        self._cache = None  # (state key, hypothesis, counters)
         self._memo = _AdmissionMemo()
         self._coverage_memo: dict = {}
 
@@ -616,12 +613,9 @@ class Learner:
             cons = construct_gamma(self.basis, self.residual, self.oracle,
                                    self.params, *self._alphabets(),
                                    memo=self._memo)
-            if self._cache is not None and cons.hypothesis is self._cache[1]:
-                digest = self._cache[3]
-            else:
-                digest = gamma_digest(cons.hypothesis)
-            self._cache = (key, cons.hypothesis, cons.counters, digest)
-        return self._cache[1:]
+            self._cache = (key, cons.hypothesis, cons.counters)
+        _, gamma, counters = self._cache
+        return gamma, counters, gamma_digest(gamma)
 
     @property
     def sample(self) -> list:

@@ -218,8 +218,8 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
     rank as (rank, clause index, label); cached on ``gamma``.
 
     A group holds the rules with the same sorted variables, pool keys and
-    head key: the head's canonical key with those variables renamed ``v0,
-    v1, ...``, its first cached ``renaming_keys``.  Equal head keys then
+    head key: the head pattern's ``key``, its canonical key with those
+    variables renamed ``v0, v1, ...``.  Equal head keys then
     mean an isomorphism that keeps the interface order and every variable
     label, so one binding realizes, up to isomorphism, the graph of every
     member through the first member's head pattern: (head pattern, sorted
@@ -249,7 +249,7 @@ def _rule_groups(gamma: ClauseSystem) -> tuple:
             variables = sorted(labels)
             pool_keys = tuple((next(iter(labels[v])), tuple(sorted(preds[v])))
                               for v in variables)
-            key = (cl.head.pattern.renaming_keys[0][1], tuple(variables), pool_keys)
+            key = (cl.head.pattern.key, tuple(variables), pool_keys)
             if key not in groups:
                 groups[key] = (cl.head.pattern, variables, pool_keys, [])
             groups[key][3].append((head, i))

@@ -24,6 +24,8 @@ from clausegraph.graphs import (
     realize,
     star_pattern,
 )
+from clausegraph.grammars import twin_grammar
+from clausegraph.learner import head_shapes
 
 from .conftest import random_graph, random_interface_graph
 from .oracles import brute_iso, naive_compose
@@ -320,6 +322,31 @@ def test_pattern_keys_see_where_hyperedges_reach():
     two = GraphPattern(base, [VariableHyperedge("x", (0, 3)), VariableHyperedge("x", (1, 2))])
     assert brute_iso(one, two)
     assert canonical_key(one) == canonical_key(two)
+
+
+def test_pattern_key_is_its_first_renaming_key(monkeypatch):
+    """A pattern's key is the canonical key under the sorted-order renaming
+    of its variables, read from its cached ``renaming_keys``: it keys
+    nothing more, and it ignores the variables' names."""
+    _, params = twin_grammar()
+    shapes = [p for p in head_shapes(1, params, ("a", "b"), ("e",)) if p.hyperedges]
+    assert shapes
+    for p in shapes:
+        p.renaming_keys
+    calls = []
+    original = graphs_mod.canonical_key
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graphs_mod, "canonical_key", counting)
+    for p in shapes:
+        assert p.key == p.renaming_keys[0][1]
+    assert calls == []
+    base = closed(graph_from_parts([(0, "a"), (1, "a")]))
+    assert GraphPattern(base, [VariableHyperedge("x", (0, 1))]).key == \
+        GraphPattern(base, [VariableHyperedge("y", (0, 1))]).key
 
 
 def test_key_of_many_isolated_vertices_needs_no_deep_recursion():

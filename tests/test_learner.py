@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from clausegraph.graphs import (
     star_pattern,
 )
 import clausegraph.boundary as boundary_mod
+import clausegraph.clauses as clauses_mod
 import clausegraph.learner as learner_mod
 import clausegraph.teacher as teacher_mod
 from clausegraph.learner import (
@@ -295,6 +297,15 @@ def test_undefined_head_composition_rejects(path_teacher):
                              [edge2], teacher.answer)
     assert table.cell(2, 0) is True
     assert not admit_clause(cand, table, teacher.answer)
+
+
+def test_admission_refuses_a_body_class_outside_the_table(path_teacher):
+    teacher, params = path_teacher
+    isolated_pair = RepClass(frag([(0, "a"), (1, "a")], [], (0, 1)))
+    edge2 = RepClass(frag([(0, "a"), (1, "a")], [(0, 1, "e")], (0, 1)))
+    table = ObservationTable([EMPTY_CLASS], [edge2], teacher.answer)
+    with pytest.raises(KeyError):
+        admit_group([_chord_candidate(isolated_pair)], table, teacher.answer)
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +661,36 @@ def test_a_candidate_keeps_one_clause_across_hypotheses():
         clauses_b = {cl.shape_key: cl for cl in b.hypothesis.clauses}
         for cand in shared:
             assert clauses_a[cand.key] is cand.to_clause() is clauses_b[cand.key]
+
+
+def test_each_hypothesis_digest_is_hashed_once(monkeypatch):
+    """A system hashes its digest on first read and keeps it.  Every stage
+    reads the digest of its interim and of its final hypothesis, and a learn
+    run hashes once per distinct hypothesis object: those of the stage
+    records, plus the empty-state hypothesis that stage 1 checks coverage
+    with."""
+    gamma, params = twin_grammar()
+    teacher = Teacher(gamma, params, size_cap=4)
+    hashed, read = [], []
+    blake2b = clauses_mod.hashlib.blake2b
+    digest = learner_mod.gamma_digest
+
+    def hashing(data, **kwargs):
+        hashed.append(data)
+        return blake2b(data, **kwargs)
+
+    def reading(hypothesis):
+        read.append(hypothesis)
+        return digest(hypothesis)
+
+    monkeypatch.setattr(clauses_mod, "hashlib", SimpleNamespace(blake2b=hashing))
+    monkeypatch.setattr(learner_mod, "gamma_digest", reading)
+    records = Learner(teacher.answer, params).run(teacher.presentation(seed=2), 8)
+    distinct = {id(h) for h in read}
+    assert distinct == {id(rec.hypothesis) for rec in records} | {id(read[0])}
+    assert len(read) == 2 * len(records)
+    assert 1 < len(hashed) == len(distinct) < len(records)
+    assert all(rec.hypothesis_digest == rec.hypothesis.digest for rec in records)
 
 
 # every stage summary of a short seeded path run and twin run, hashed; the

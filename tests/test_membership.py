@@ -7,16 +7,19 @@ import pytest
 import clausegraph.graphs as graphs_mod
 import clausegraph.membership as membership_mod
 from clausegraph.boundary import brep_for_graph
-from clausegraph.clauses import Atom, Clause, ClauseSystem, PredicateSymbol
+from clausegraph.clauses import (Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol,
+                                 check_bounded, check_degree_safe)
 from clausegraph.formats import dump_grammar, load_grammar
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
     GraphPattern,
     GraphWithInterface,
+    VariableHyperedge,
     canonical_key,
     closed,
     graph_from_parts,
     iso_check,
+    star_pattern,
 )
 from clausegraph.membership import (
     DerivationNode,
@@ -380,6 +383,42 @@ def test_rank0_variable_binds_the_whole_graph():
     assert ok
     assert iso_check(tree.replay(gamma), closed(triangle()))
     assert not member(gamma, p, path_graph(3), params)
+
+
+def _detached_vertex_grammar():
+    """The fact q is two ``a`` vertices with no edge, the interface on
+    vertex 0; the rule s <- q(x) puts x on one ``a`` vertex.  So s derives
+    two isolated ``a`` vertices through a fragment of q whose second vertex
+    no edge joins to the interface."""
+    s, q = PredicateSymbol("s", 0), PredicateSymbol("q", 1)
+    pair = GraphWithInterface(graph_from_parts([(0, "a"), (1, "a")]), (0,))
+    vertex = closed(graph_from_parts([(0, "a")]))
+    gamma = ClauseSystem([s, q], [
+        Clause(Atom(q, GraphPattern(pair))),
+        Clause(Atom(s, GraphPattern(vertex, [VariableHyperedge("x", (0,))])),
+               [Atom(q, star_pattern("x", ("a",)))]),
+    ], start=s)
+    return gamma, ParamTuple(m=2, s=1, t=1, w=1, d=2, delta=2, h_max=2)
+
+
+def test_detached_vertex_grammar_is_accepted_and_generates_its_graph():
+    gamma, params = _detached_vertex_grammar()
+    assert check_bounded(gamma, params) == []
+    assert check_degree_safe(gamma)
+    language = generate_language(gamma, params, 4)
+    assert [(g.n, g.m) for g in language] == [(2, 0)]
+    assert TopDownOracle(gamma, delta=params.delta).member(language[0])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: member looks only at boundary-attached fragments, so a "
+    "fragment with a vertex that no path joins to its interface is never "
+    "found and member answers a silent NO"))
+def test_member_agrees_with_the_oracle_on_a_detached_vertex():
+    gamma, params = _detached_vertex_grammar()
+    g = graph_from_parts([(0, "a"), (1, "a")])
+    want = TopDownOracle(gamma, delta=params.delta).member(g)
+    assert member(gamma, gamma.start, g, params) == want
 
 
 def test_two_variable_clause_matches_oracle():
