@@ -15,15 +15,17 @@ and the clause's identity up to variable renaming and body order,
 ``Clause.shape_key`` caches that key and is its only caller: each learner
 candidate builds its ``Clause`` once and is keyed by its ``shape_key``.
 A system's identity up to clause order is its cached ``digest``, hashed on
-first read from its predicates, start symbol and sorted clause keys.
+first read from its predicates, start symbol and sorted clause keys with
+blake2b from the builtin ``_blake2`` module, which ``hashlib`` re-exports.
 ``PredicateSymbol`` and ``ParamTuple`` are NamedTuple value records whose every
 construction, ``_make`` and ``_replace`` included, rejects a negative field.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, NamedTuple, Sequence
+
+from _blake2 import blake2b
 
 from .graphs import GraphPattern, is_star_pattern, key_digest
 
@@ -154,8 +156,7 @@ class ClauseSystem:
             key = (tuple((p.name, p.irank) for p in self.predicates),
                    self.start.name,
                    tuple(sorted(cl.shape_key for cl in self.clauses)))
-            self._digest = hashlib.blake2b(repr(key).encode(),
-                                           digest_size=8).hexdigest()
+            self._digest = blake2b(repr(key).encode(), digest_size=8).hexdigest()
         return self._digest
 
     def __repr__(self):

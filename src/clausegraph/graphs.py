@@ -17,13 +17,16 @@ Graphs and graphs with interface compare by structure: equal vertex ids,
 labels, edges and interface.  Patterns compare only by canonical key:
 ``GraphPattern.key`` is the key once the variables are renamed ``v0, v1,
 ...`` in sorted label order, the first of the cached ``renaming_keys``.
+``key_digest`` hashes with blake2b from the builtin ``_blake2`` module, the
+type ``hashlib.blake2b`` is, so importing the library loads no OpenSSL.
 """
 
 from __future__ import annotations
 
-import hashlib
 from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from _blake2 import blake2b
 
 
 class LabeledGraph:
@@ -530,7 +533,7 @@ def _twin_reps(cell, adj):
 
 def key_digest(g: GraphLike) -> str:
     """Short stable hex digest of the canonical key, for names and logs."""
-    return hashlib.blake2b(repr(g.key).encode(), digest_size=8).hexdigest()[:10]
+    return blake2b(repr(g.key).encode(), digest_size=8).hexdigest()[:10]
 
 
 # ---------------------------------------------------------------------------

@@ -280,15 +280,27 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
     round, and visits only the groups whose pools are all non-empty and one
     of which meets the previous round's new pairs.  A binding is tried in
     one round only, the first in which all its indices are in their pools,
-    so it is realized once, and every member's head predicate is derived
-    from that realization.
+    and every member's head predicate is derived from its realization.
+    Groups that differ only in pool keys share a head key, so a binding is
+    realized and looked up once per head key: ``key`` names the sorted
+    variables ``v0, v1, ...``, equal keys bound alike realize isomorphic
+    graphs, and ``lookup`` maps those alike (a growing universe already
+    holds the first one's graph).
     """
     out = DerivedAtomSet(universe)
     facts, groups, by_pool_key, _, _ = _rule_groups(gamma)
+    found: dict = {}
+
+    def realized(pattern, variables, combo) -> Optional[int]:
+        key = (pattern.key, combo)
+        if key not in found:
+            res = realize(pattern, {var: universe[idx]
+                                    for var, idx in zip(variables, combo)})
+            found[key] = lookup(res) if res is not None else None
+        return found[key]
 
     for pattern, head_pred, clause_index in facts:
-        res = realize(pattern, {})
-        idx = lookup(res) if res is not None else None
+        idx = realized(pattern, (), ())
         if idx is not None:
             out.derived.setdefault((head_pred, idx), Provenance(clause_index, {}))
 
@@ -335,9 +347,7 @@ def saturate(gamma: ClauseSystem, universe: FragmentUniverse,
             for combo in product(*candidates):
                 if not any(idx in frontier_sets[i] for i, idx in enumerate(combo)):
                     continue
-                theta = {var: universe[idx] for var, idx in zip(variables, combo)}
-                res = realize(pattern, theta)
-                result_idx = lookup(res) if res is not None else None
+                result_idx = realized(pattern, variables, combo)
                 if result_idx is None:
                     continue
                 for head_pred, clause_index in members:

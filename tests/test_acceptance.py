@@ -146,7 +146,9 @@ def _reference_traversal(g: LabeledGraph):
 
 def test_criterion_2_fragment_determinism_and_linear_time():
     """Rebuilding a fragment from its specification is bit-for-bit
-    deterministic, and costs at most twice a single graph traversal."""
+    deterministic, and costs at most twice a single graph traversal.  Each
+    build is timed right after one reference traversal, so both sides of a
+    ratio see the same host speed; the bound is on the median ratio."""
     rng = random.Random(0xF5A6)
     # determinism: 1000 repeated builds across random valid specifications
     for _ in range(100):
@@ -168,17 +170,17 @@ def test_criterion_2_fragment_determinism_and_linear_time():
     # timing: large bounded-degree graph, maximal-ish fragments
     big = random_connected_graph(rng, 3000, max_degree=3,
                                  vlabels=("a", "b"), elabels=("e",))
-    base = min(_timed(_reference_traversal, big) for _ in range(5))
     verts = sorted(big.vertices)
-    samples = []
+    ratios = []
     for _ in range(8):
         beta = tuple(rng.sample(verts, 2))
         bset = set(beta)
         incident = [e for e in sorted(big.edges) if e[0] in bset or e[1] in bset]
         eb = {e for e in incident if rng.random() < 0.8}
-        samples.append(_timed(lambda: (validate_spec(big, beta, eb),
-                                       build_fragment(big, beta, eb))))
-    ratio = statistics.median(samples) / base
+        base = _timed(_reference_traversal, big)
+        ratios.append(_timed(lambda: (validate_spec(big, beta, eb),
+                                      build_fragment(big, beta, eb))) / base)
+    ratio = statistics.median(ratios)
     assert ratio <= 2.0, f"fragment build is {ratio:.2f}x a single traversal"
     print(f"\nACCEPTANCE 2 PASS: fragment construction deterministic, "
           f"{ratio:.2f}x one traversal")

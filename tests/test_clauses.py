@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import subprocess
 import sys
@@ -27,8 +28,11 @@ from clausegraph.graphs import (
     closed,
     graph_from_parts,
     iso_check,
+    key_digest,
     star_pattern,
 )
+
+from .conftest import learned_hypothesis
 
 
 def ground_atom(pred, n=1):
@@ -235,10 +239,9 @@ def test_predicate_naming_is_stable():
 # records
 # ---------------------------------------------------------------------------
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """``import clausegraph`` generates no record code: compared with the
-    modules loaded before it (``site`` hooks may load some first), the
-    import adds neither ``dataclasses`` nor ``inspect``."""
+def _modules_added_by_import() -> set:
+    """The modules a fresh ``import clausegraph`` adds to those loaded before
+    it (``site`` hooks may load some first)."""
     src = str(Path(clausegraph.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -248,7 +251,43 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
     assert "clausegraph.learner" in added
-    assert not added & {"dataclasses", "inspect"}
+    return added
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """``import clausegraph`` generates no record code: the import adds
+    neither ``dataclasses`` nor ``inspect``."""
+    assert not _modules_added_by_import() & {"dataclasses", "inspect"}
+
+
+def test_import_loads_no_openssl():
+    """The digests take blake2b from the builtin ``_blake2`` module, so
+    ``import clausegraph`` loads neither ``hashlib`` nor ``_hashlib``, whose
+    import maps OpenSSL's libcrypto into the process."""
+    assert not _modules_added_by_import() & {"hashlib", "_hashlib"}
+
+
+def _blake2b_hex(key) -> str:
+    return hashlib.blake2b(repr(key).encode(), digest_size=8).hexdigest()
+
+
+@pytest.mark.parametrize("system", [
+    path_grammar, twin_grammar, triangle_grammar,
+    lambda: learned_hypothesis(twin_grammar, 5),
+], ids=["path", "twin", "triangle", "learned_twin"])
+def test_digests_are_hashlib_blake2b(system):
+    """``ClauseSystem.digest`` and ``key_digest`` are ``hashlib``'s blake2b
+    with ``digest_size=8`` over the repr of their key, the latter cut to
+    10 hex digits."""
+    gamma, _ = system()
+    key = (tuple((p.name, p.irank) for p in gamma.predicates),
+           gamma.start.name,
+           tuple(sorted(cl.shape_key for cl in gamma.clauses)))
+    assert gamma.digest == _blake2b_hex(key)
+    for cl in gamma.clauses:
+        pattern = cl.head.pattern
+        assert key_digest(pattern) == _blake2b_hex(pattern.key)[:10]
+        assert key_digest(pattern.base) == _blake2b_hex(pattern.base.key)[:10]
 
 
 VALUE_RECORDS = [

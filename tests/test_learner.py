@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -672,7 +671,7 @@ def test_each_hypothesis_digest_is_hashed_once(monkeypatch):
     gamma, params = twin_grammar()
     teacher = Teacher(gamma, params, size_cap=4)
     hashed, read = [], []
-    blake2b = clauses_mod.hashlib.blake2b
+    blake2b = clauses_mod.blake2b
     digest = learner_mod.gamma_digest
 
     def hashing(data, **kwargs):
@@ -683,7 +682,7 @@ def test_each_hypothesis_digest_is_hashed_once(monkeypatch):
         read.append(hypothesis)
         return digest(hypothesis)
 
-    monkeypatch.setattr(clauses_mod, "hashlib", SimpleNamespace(blake2b=hashing))
+    monkeypatch.setattr(clauses_mod, "blake2b", hashing)
     monkeypatch.setattr(learner_mod, "gamma_digest", reading)
     records = Learner(teacher.answer, params).run(teacher.presentation(seed=2), 8)
     distinct = {id(h) for h in read}

@@ -553,6 +553,24 @@ def test_isomorphic_heads_share_a_rule_group():
     assert [h.n for h in generate_language(gamma, params, 7)] == [4, 5]
 
 
+def test_saturation_realizes_each_head_key_and_binding_once(monkeypatch):
+    """Groups of a learned twin hypothesis that share a head key and differ
+    in pool keys bind the same fragments; a coverage ``member`` run on the
+    largest sample graph realizes each (head key, binding) once."""
+    gamma, params = learned_hypothesis(twin_grammar, 5)
+    g = Teacher(*twin_grammar(), size_cap=5).language[-1]
+    realized = []
+    original = membership_mod.realize
+
+    def counting(pattern, theta):
+        realized.append((pattern.key, tuple(theta[v].key for v in sorted(theta))))
+        return original(pattern, theta)
+
+    monkeypatch.setattr(membership_mod, "realize", counting)
+    assert member(gamma, gamma.start, g, params)
+    assert len(realized) == len(set(realized)) > 0
+
+
 @pytest.mark.parametrize("learned", [(twin_grammar, 5), (path_grammar, 7, 2)],
                          ids=["learned_twin", "learned_path"])
 def test_reloaded_hypothesis_has_the_same_rule_groups(learned, tmp_path):
