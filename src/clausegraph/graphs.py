@@ -1,13 +1,15 @@
 """Labeled graphs with ordered interfaces and patterns with variable hyperedges.
 
-The two gluing operations live here as well: ``compose`` identifies the
-interfaces of two graphs positionally, ``realize`` substitutes graphs with
-interface for the variable hyperedges of a pattern. Both return ``None``
-("undefined") when an identification would force two different vertex labels
-onto one vertex or two different edge labels onto one vertex pair; coinciding
-edges with equal labels merge silently, so results stay simple graphs.
-Malformed inputs raise ``ValueError`` instead — "undefined" is a legitimate
-outcome, a structural error is not.
+Gluing lives here as well, in one routine: ``realize`` substitutes graphs
+with interface for the variable hyperedges of a pattern.  ``compose``, which
+identifies the interfaces of two graphs positionally, is the realization of
+a one-variable context: the first graph, closed, with one hyperedge on its
+interface, bound to the second.  Both return ``None`` ("undefined") when an
+identification would force two different vertex labels onto one vertex or
+two different edge labels onto one vertex pair; coinciding edges with equal
+labels merge silently, so results stay simple graphs.  Malformed inputs
+raise ``ValueError`` instead — "undefined" is a legitimate outcome, a
+structural error is not.
 
 Everything is immutable after construction and all operations are pure, so
 values can be shared freely. Cached attributes (adjacency, canonical key,
@@ -178,7 +180,7 @@ class GraphPattern:
     the variables are renamed ``v0, v1, ...`` in sorted label order.
     """
 
-    __slots__ = ("base", "hyperedges", "_renaming_keys")
+    __slots__ = ("base", "hyperedges", "_variables", "_renaming_keys")
 
     def __init__(self, base: GraphWithInterface, hyperedges: Iterable[VariableHyperedge] = ()):
         hyperedges = tuple(sorted(hyperedges, key=lambda h: (h.label, h.ports)))
@@ -191,6 +193,7 @@ class GraphPattern:
                 raise ValueError(f"variable {h.label!r} used with two different ranks")
         self.base = base
         self.hyperedges = hyperedges
+        self._variables = ranks
         self._renaming_keys = None
 
     @property
@@ -202,16 +205,9 @@ class GraphPattern:
         return self.base.rank
 
     def variables(self) -> dict:
-        """Variable label -> rank, in sorted label order."""
-        out = {}
-        for h in self.hyperedges:
-            out[h.label] = h.rank
-        return dict(sorted(out.items()))
-
-    def as_interface_graph(self) -> GraphWithInterface:
-        if self.hyperedges:
-            raise ValueError("pattern has hyperedges; not a plain graph with interface")
-        return self.base
+        """Variable label -> rank, in sorted label order (the hyperedges are
+        sorted by label); the pattern's own map, not to be mutated."""
+        return self._variables
 
     @property
     def key(self):
@@ -283,17 +279,16 @@ def _add_copy(vlabel: dict, edges: dict, g: LabeledGraph,
 
 def compose(g: GraphWithInterface, h: GraphWithInterface) -> Optional[LabeledGraph]:
     """Glue disjoint copies of ``g`` and ``h`` by identifying their interfaces
-    positionally.  Returns a plain closed graph (the glued interface is
-    discarded), or ``None`` when the ranks differ or identification conflicts.
+    positionally: the realization of ``g``'s graph, closed, with one
+    hyperedge on ``g``'s interface, bound to ``h``.  Returns a plain closed
+    graph (the glued interface is discarded), or ``None`` when the ranks
+    differ or identification conflicts.
     """
     if g.rank != h.rank:
         return None
-    vlabel, edges = {}, {}
-    gmap = _add_copy(vlabel, edges, g.graph, {})
-    anchored = {h.interface[i]: gmap[g.interface[i]] for i in range(g.rank)}
-    if _add_copy(vlabel, edges, h.graph, anchored) is None:
-        return None
-    return LabeledGraph(vlabel, edges)
+    context = GraphPattern(closed(g.graph), [VariableHyperedge("x", g.interface)])
+    glued = realize(context, {"x": h})
+    return None if glued is None else glued.graph
 
 
 def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInterface]:

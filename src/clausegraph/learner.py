@@ -211,7 +211,7 @@ def head_shapes(iface_rank: int, params: ParamTuple,
     """All head patterns with the given interface rank, up to isomorphism
     and variable renaming: at most ``h_max`` vertices, pattern degree at
     most ``d``, at most ``s`` hyperedges of rank at most ``w``, every
-    grouping of hyperedges into equal-label classes."""
+    grouping of hyperedges of one rank into equal-label classes."""
     shapes = []
     seen = set()
     for n in range(iface_rank, params.h_max + 1):
@@ -220,9 +220,10 @@ def head_shapes(iface_rank: int, params: ParamTuple,
         port_choices = []
         for rank in range(1, params.w + 1):
             port_choices.extend(permutations(range(n), rank))
+        edge_sets = _edge_assignments(n, params.d, elabels)
         for vassign in product(vlabels, repeat=n):
             vlabel = dict(enumerate(vassign))
-            for edges in _edge_assignments(n, params.d, elabels):
+            for edges in edge_sets:
                 graph = LabeledGraph(vlabel, edges)
                 for iface in permutations(range(n), iface_rank):
                     base = GraphWithInterface(graph, iface)
@@ -233,20 +234,20 @@ def head_shapes(iface_rank: int, params: ParamTuple,
 
 
 def _shapes_for(base: GraphWithInterface, ports_multi, seen):
-    """Attach hyperedges on the given port tuples under every rank-consistent
-    label grouping (``GraphPattern`` rejects the others); dedup against
-    ``seen`` by renaming-minimal key."""
-    occ = list(range(len(ports_multi)))
-    for grouping in _set_partitions(occ):
-        labels = {}
-        for gi, g in enumerate(grouping):
-            for i in g:
-                labels[i] = f"x{gi}"
-        try:
-            hyper = [VariableHyperedge(labels[i], ports_multi[i]) for i in occ]
-            pattern = GraphPattern(base, hyper)
-        except ValueError:
-            continue
+    """Attach hyperedges on the given port tuples, which come in ascending
+    rank, under every grouping into equal-label classes of one rank: the
+    set partitions of each rank's occurrences, labelled ``x0, x1, ...``
+    lowest rank first; dedup against ``seen`` by renaming-minimal key."""
+    by_rank: dict = {}
+    for ports in ports_multi:
+        by_rank.setdefault(len(ports), []).append(ports)
+    # the highest rank's partition varies slowest, the order in which
+    # partitioning all occurrences at once meets the rank-consistent ones
+    for parts in product(*map(_set_partitions, reversed(by_rank.values()))):
+        grouping = [block for part in reversed(parts) for block in part]
+        pattern = GraphPattern(base, [VariableHyperedge(f"x{gi}", ports)
+                                      for gi, block in enumerate(grouping)
+                                      for ports in block])
         best = min(key for _, key in pattern.renaming_keys)
         if best in seen:
             continue
@@ -398,7 +399,7 @@ def admit_group(group: Sequence[ClauseCandidate], table: ObservationTable,
     counter = counter if counter is not None else Counter()
     first = group[0]
     if first.is_fact:
-        ground = first.pattern.as_interface_graph()
+        ground = first.pattern.base
         verdicts = []
         for cand in group:
             composed = _composed(memo.composed, (cand.head, ground),

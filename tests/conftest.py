@@ -6,6 +6,7 @@ import pytest
 
 import clausegraph.learner as learner_mod
 from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
+from clausegraph.grammars import path_grammar
 from clausegraph.graphs import (
     EMPTY_INTERFACE_GRAPH,
     GraphPattern,
@@ -135,6 +136,26 @@ def iso_heads_grammar():
                [Atom(a, star_pattern("x", ("a",))), Atom(b, star_pattern("z", ("a",)))]),
     ], start=p)
     return gamma, ParamTuple(m=5, s=2, t=2, w=1, d=2, delta=2, h_max=3)
+
+
+def two_label_path_grammar():
+    """The path grammar with each edge labelled ``e`` or ``f``: every clause
+    that carries an edge is repeated with that edge labelled ``f``.  With two
+    edge labels a head pattern's edge can meet an edge of another label in a
+    bound fragment, so some admission realizations are undefined."""
+    gamma, params = path_grammar()
+    clauses = list(gamma.clauses)
+    for cl in gamma.clauses:
+        pattern = cl.head.pattern
+        graph = pattern.base.graph
+        if graph.edges:
+            relabelled = GraphWithInterface(
+                LabeledGraph(graph.vlabel, dict.fromkeys(graph.edges, "f")),
+                pattern.interface)
+            clauses.append(Clause(Atom(cl.head.predicate,
+                                       GraphPattern(relabelled, pattern.hyperedges)),
+                                  cl.body))
+    return ClauseSystem(gamma.predicates, clauses, start=gamma.start), params._replace(m=5)
 
 
 def random_graph(rng: random.Random, n: int, max_degree: int = 3,

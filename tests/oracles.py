@@ -567,8 +567,7 @@ def admit_each(candidates, table, oracle):
     totals = {"fact_queries": 0, "admission_queries": 0, "families": 0}
     for cand in candidates:
         if not cand.body:
-            composed = compose(cand.head.fragment,
-                               cand.pattern.as_interface_graph())
+            composed = compose(cand.head.fragment, cand.pattern.base)
             if composed is not None:
                 totals["fact_queries"] += 1
             records.append(AdmissionRecord(

@@ -122,6 +122,10 @@ def test_clause_system_requires_declared_predicates():
     ghost = PredicateSymbol("ghost", 0)
     with pytest.raises(ValueError, match="ghost"):
         ClauseSystem([p], [Clause(ground_atom(ghost))], start=p)
+    with pytest.raises(ValueError, match="start predicate 'ghost' is not declared"):
+        ClauseSystem([p], [], start=ghost)
+    with pytest.raises(ValueError, match="predicate name 'p' declared with two ranks"):
+        ClauseSystem([p, PredicateSymbol("p", 1)], [], start=p)
 
 
 def test_start_predicate_must_have_rank_zero():
@@ -181,6 +185,21 @@ def test_path_grammar_violates_zero_body_bound():
     tight = ParamTuple(m=3, s=1, t=0, w=2, d=2, delta=2, h_max=3)
     violations = check_bounded(gamma, tight)
     assert len([v for v in violations if "t=0" in v]) == 2
+
+
+def test_path_grammar_violates_head_bounds():
+    # clause 1 grows the path behind a rank-2 variable y, clause 2 closes
+    # it with x; clauses 0 and 1 each carry one edge
+    gamma, params = path_grammar()
+    tight = ParamTuple(m=3, s=0, t=1, w=1, d=0, delta=2, h_max=3)
+    assert check_bounded(gamma, tight) == [
+        "clause 0: head pattern has max degree 1 > d=0",
+        "clause 1: variable 'y' has rank 2 > w=1",
+        "clause 1: head has 1 hyperedges > s=0",
+        "clause 1: head pattern has max degree 1 > d=0",
+        "clause 2: variable 'x' has rank 2 > w=1",
+        "clause 2: head has 1 hyperedges > s=0",
+    ]
 
 
 def test_twin_and_triangle_bounded():

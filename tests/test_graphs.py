@@ -62,6 +62,8 @@ def test_rejects_dangling_edge():
 def test_parallel_edges_normalize_to_one():
     g = LabeledGraph({0: "a", 1: "a"}, {(0, 1): "e", (1, 0): "e"})
     assert g.m == 1
+    with pytest.raises(ValueError, match="conflicting labels"):
+        LabeledGraph({0: "a", 1: "a"}, {(0, 1): "e", (1, 0): "f"})
 
 
 def test_interface_must_be_distinct_vertices():

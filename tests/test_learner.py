@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from clausegraph.clauses import Atom, Clause, ParamTuple
+from clausegraph.formats import pattern_to_obj
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
     GraphPattern,
@@ -31,13 +32,15 @@ from clausegraph.learner import (
     construct_gamma,
     enumerate_candidates,
     gamma_digest,
+    head_shapes,
     with_empty_class,
 )
 from clausegraph.boundary import boundary_specs, brep_for_graph, enumerate_brep
 from clausegraph.membership import member, sub_w
 from clausegraph.teacher import Teacher, generate_language
 
-from .conftest import random_graph, recorded_constructions, two_arm_grammar
+from .conftest import (random_graph, recorded_constructions, two_arm_grammar,
+                       two_label_path_grammar)
 from .oracles import admit_each
 
 
@@ -189,6 +192,60 @@ def test_candidate_count_bound():
     bound = shape_constant * sum(
         (n_f + 1) ** (ell + 1) for ell in range(params.t + 1))
     assert len(cands) <= bound
+
+
+def shapes_digest(shapes) -> tuple:
+    """The number of shapes and one sha256 over ``pattern_to_obj`` of each,
+    in order."""
+    h = hashlib.sha256()
+    for p in shapes:
+        h.update(json.dumps(pattern_to_obj(p), sort_keys=True).encode())
+    return len(shapes), h.hexdigest()
+
+
+# The shapes of every head rank 0..w, pinned by ``shapes_digest``.
+# b_headed's and iso_heads' bounds differ from path's and two_arm's only in
+# m, and rank0's from triangle's only in m, s and t at w = 0, none of which
+# changes a shape, so their shapes are these.  The last bounds are path's
+# with s = t = 2, whose heads mix variable ranks.
+@pytest.mark.parametrize("params,vlabels,elabels,count,digest", [
+    (path_grammar()[1], ("a",), ("e",), 173,
+     "04489aba34072fb69c748fae441e6280c44697c18b7349662f6cb06d41893a8a"),
+    (path_grammar()[1], ("a", "b"), ("e",), 1211,
+     "9b52f1b241a1780c4dd98676a9da486187ac2c7b88197f5cbe2fe9ec0cca8508"),
+    (twin_grammar()[1], ("a",), ("e",), 39,
+     "14fc78fcc172d819aeffc2424d5ce7e8963f709065904178bacc500e390fb94b"),
+    (twin_grammar()[1], ("a", "b"), ("e",), 131,
+     "ee6a8f91c0b058d6c1b4b8cbefc912a43ce8f4d2d167577d71decd44628bec35"),
+    (triangle_grammar()[1], ("a",), ("e",), 8,
+     "be4222ca70264413a51df795e617148414f60f5905e5da63be7c6e6b0bc6eb46"),
+    (triangle_grammar()[1], ("a", "b"), ("e",), 29,
+     "302f5237afafd2f9a13765916bc53df21eb732c64837ea5565fdde0545c20144"),
+    (two_arm_grammar()[1], ("a",), ("e",), 149,
+     "e2a3426fa0e06ceca449103c97c4f2f039812f4085320f555f3ca8c091139aee"),
+    (two_arm_grammar()[1], ("a", "b"), ("e",), 911,
+     "130a81e216247d421c4d0664e43eafcca0bfbb269a1539b54133c51081f7cf57"),
+    (ParamTuple(m=3, s=2, t=2, w=2, d=2, delta=2, h_max=3), ("a",), ("e",), 1261,
+     "ca6e9d97815c772b25e299f4f38ee4edf49c083b01bbbe3687eb7793c0308282"),
+    (ParamTuple(m=3, s=2, t=2, w=2, d=2, delta=2, h_max=3), ("a",), ("e", "f"), 3973,
+     "69307ce102aec14ef5eb480087e421b5883f23c84fe724e177fc11f6ece8d06f"),
+], ids=["path-a-e", "path-ab-e", "twin-a-e", "twin-ab-e", "triangle-a-e",
+        "triangle-ab-e", "two_arm-a-e", "two_arm-ab-e", "s2w2-a-e", "s2w2-a-ef"])
+def test_head_shapes_are_pinned(params, vlabels, elabels, count, digest):
+    shapes = [p for rank in range(params.w + 1)
+              for p in head_shapes(rank, params, vlabels, elabels)]
+    assert shapes_digest(shapes) == (count, digest)
+
+
+def test_head_shapes_keep_the_order_of_grouping_all_hyperedges_at_once():
+    """Up to s = 4 hyperedges on two vertices, two ranks can each have two
+    occurrences; the order in which groupings are met then decides which
+    pattern of a shape is kept.  The rank-0 heads are pinned in the order
+    of set-partitioning all occurrences at once and dropping the mixed-rank
+    groupings."""
+    params = ParamTuple(m=1, s=4, t=4, w=2, d=0, delta=2, h_max=2)
+    assert shapes_digest(head_shapes(0, params, ("a",), ("e",))) == (
+        138, "ff8f1b40a38ebac3bc2785e9b4b45e0000dede5dce03452696c60a440afbe461")
 
 
 def test_target_shapes_appear_among_candidates():
@@ -549,6 +606,22 @@ def test_two_variable_target_is_identified():
     assert learned == target
 
 
+def test_heads_that_mix_variable_ranks_identify_the_path_target():
+    """With s = t = 2 the path target's head shapes include heads with a
+    rank-1 and a rank-2 variable.  The members up to 5 vertices, presented
+    in the teacher's order for 8 stages, leave a hypothesis of 111 clauses,
+    stable from stage 3, that generates the target's language at cap 6."""
+    gamma, params = path_grammar()
+    params = params._replace(s=2, t=2)
+    teacher = Teacher(gamma, params, size_cap=5)
+    learner = Learner(teacher.answer, params)
+    learner.run(teacher.presentation(), 8)
+    assert (len(learner.hypothesis.clauses), learner.stable_from()) == (111, 3)
+    learned, target = ({closed(g).key for g in generate_language(system, params, 6)}
+                       for system in (learner.hypothesis, gamma))
+    assert learned == target
+
+
 def test_recorded_construction_collects_decisions(path_teacher):
     teacher, params = path_teacher
     learner = Learner(teacher.answer, params)
@@ -789,19 +862,28 @@ def test_admission_keys_each_distinct_realized_graph_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("builder,cap,stages", [
-    (path_grammar, 5, 8), (twin_grammar, 4, 8), (two_arm_grammar, 3, 2)])
+    (path_grammar, 5, 8), (twin_grammar, 4, 8), (two_arm_grammar, 3, 2),
+    (two_label_path_grammar, 3, 6)])
 def test_grouped_admission_matches_one_by_one(builder, cap, stages):
     """Every candidate of every construction gets the verdict the
     one-candidate-at-a-time reference gives it; every group of candidates
     that share a body walks the families and sends the new queries its
     members do on their own; the construction's counters are the
-    reference's totals."""
+    reference's totals.  With one edge label every admission realization
+    is defined; with two some are not, and the learned language is still
+    the target's."""
     gamma, params = builder()
     teacher = Teacher(gamma, params, size_cap=cap)
     learner = Learner(teacher.answer, params)
     with recorded_constructions() as built:
         learner.run(teacher.presentation(seed=2), stages)
     assert len(built) >= 2
+    two_labels = builder is two_label_path_grammar
+    assert (None in learner._memo.realize_memo.values()) == two_labels
+    if two_labels:
+        learned, target = ({closed(g).key for g in generate_language(system, params, 4)}
+                           for system in (learner.hypothesis, gamma))
+        assert learned == target
     for cons in built:
         # candidates come in key order, so this is the construction's list
         candidates = sorted(cons.admitted + cons.rejected, key=lambda c: c.key)

@@ -23,6 +23,7 @@ from clausegraph.graphs import (
 )
 from clausegraph.membership import (
     DerivationNode,
+    FragmentUniverse,
     derive_fixpoint,
     format_tree,
     member,
@@ -214,6 +215,25 @@ def test_universe_find_up_to_iso():
     assert idx is not None
     assert iso_check(u[idx], probe)
     assert u.find(GraphWithInterface(graph_from_parts([(0, "b")]), (0,))) is None
+
+
+def test_universe_keeps_signature_mates_apart():
+    """A closed 6-cycle and two disjoint triangles share a signature and are
+    not isomorphic: ``add`` keeps both in one bucket, and ``find`` returns
+    each one's own index, the triangles' after rejecting the cycle."""
+    hexagon = closed(cycle_graph(6))
+    triangles = closed(graph_from_parts(
+        [(i, "a") for i in range(6)],
+        [(0, 1, "e"), (1, 2, "e"), (0, 2, "e"), (3, 4, "e"), (4, 5, "e"), (3, 5, "e")]))
+    assert hexagon.signature == triangles.signature
+    assert not iso_check(hexagon, triangles)
+    u = FragmentUniverse()
+    assert (u.add(hexagon), u.add(triangles)) == (0, 1)
+    assert u._buckets == {hexagon.signature: [0, 1]}
+    renumbered = graph_from_parts([(v + 10, "a") for v in range(6)],
+                                  [(x + 10, y + 10, lab)
+                                   for (x, y), lab in triangles.graph.edges.items()])
+    assert (u.find(closed(cycle_graph(6))), u.find(closed(renumbered))) == (0, 1)
 
 
 @pytest.mark.parametrize("n, w", [(8, 2), (12, 1)])
