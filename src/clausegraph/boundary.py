@@ -78,7 +78,7 @@ def build_fragment(g: LabeledGraph, beta: Sequence[int],
                 if y not in vlabel:
                     vlabel[y] = g.vlabel[y]
                     walk.append(y)
-    return GraphWithInterface(LabeledGraph(vlabel, edges), beta)
+    return GraphWithInterface(LabeledGraph._trusted(vlabel, edges), beta)
 
 
 def boundary_specs(g: LabeledGraph, w: int) -> Iterator[tuple]:

@@ -12,8 +12,9 @@ per-clause view derives from it: the fixed-interface check compares it with
 the head's hyperedge occurrences, saturation builds its rule groups from it,
 and the clause's identity up to variable renaming and body order,
 ``clause_key``, pairs it with the head pattern's cached ``renaming_keys``.
-``Clause.shape_key`` caches that key and is its only caller: each learner
-candidate builds its ``Clause`` once and is keyed by its ``shape_key``.
+``Clause.shape_key`` caches that key.  The learner computes it before it
+builds a candidate, so that it builds none for a duplicate body, and hands
+it to the candidate's ``Clause``; no key is computed twice.
 A system's identity up to clause order is its cached ``digest``, hashed on
 first read from its predicates, start symbol and sorted clause keys with
 blake2b from the builtin ``_blake2`` module, which ``hashlib`` re-exports.
@@ -64,11 +65,13 @@ class Atom:
 class Clause:
     __slots__ = ("head", "body", "_stars", "_shape_key")
 
-    def __init__(self, head: Atom, body: Sequence[Atom] = ()):
+    def __init__(self, head: Atom, body: Sequence[Atom] = (), shape_key=None):
+        """``shape_key``, when given, is the clause's ``clause_key``, which a
+        caller that has already computed it hands over."""
         self.head = head
         self.body = tuple(body)
         self._stars = None
-        self._shape_key = None
+        self._shape_key = shape_key
 
     @property
     def stars(self) -> tuple:

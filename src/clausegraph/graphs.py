@@ -13,7 +13,12 @@ structural error is not.
 
 Everything is immutable after construction and all operations are pure, so
 values can be shared freely. Cached attributes (adjacency, canonical key,
-signature) are filled at most once and never change.
+signature) are filled at most once and never change.  ``LabeledGraph(...)``
+validates outside input: self-loops, undeclared endpoints and conflicting
+edge labels raise, and edges are normalised to ``(u, v)`` with ``u < v``.
+Carved and glued graphs (``boundary.build_fragment``, ``realize``) come
+from one private constructor, ``LabeledGraph._trusted``, which skips those
+checks because their builders already guarantee them.
 
 Graphs and graphs with interface compare by structure: equal vertex ids,
 labels, edges and interface.  Patterns compare only by canonical key:
@@ -37,21 +42,35 @@ class LabeledGraph:
     __slots__ = ("vertices", "vlabel", "edges", "_adj")
 
     def __init__(self, vlabel: Mapping[int, str], edges: Mapping[tuple, str]):
-        self.vlabel = dict(vlabel)
-        self.vertices = tuple(sorted(self.vlabel))
+        vlabel = dict(vlabel)
         norm = {}
         for (u, v), lab in edges.items():
             if u == v:
                 raise ValueError(f"edge ({u},{v}): self-loops are not allowed")
-            if u not in self.vlabel or v not in self.vlabel:
+            if u not in vlabel or v not in vlabel:
                 raise ValueError(f"edge ({u},{v}): endpoint not a declared vertex")
             key = (u, v) if u < v else (v, u)
             if key in norm and norm[key] != lab:
                 raise ValueError(f"edge {key}: conflicting labels {norm[key]!r}/{lab!r}")
             norm[key] = lab
-        self.edges = norm
+        self._fill(vlabel, norm)
+
+    @classmethod
+    def _trusted(cls, vlabel: dict, edges: dict) -> "LabeledGraph":
+        """A graph on dicts its caller built and owns, with every edge key
+        ``(u, v)``, ``u < v``, between declared vertices: the carved and
+        glued graphs, whose builders guarantee that.  Nothing is checked or
+        copied; adjacency is built and sorted as in the constructor."""
+        g = cls.__new__(cls)
+        g._fill(vlabel, edges)
+        return g
+
+    def _fill(self, vlabel: dict, edges: dict) -> None:
+        self.vlabel = vlabel
+        self.vertices = tuple(sorted(vlabel))
+        self.edges = edges
         adj = {v: [] for v in self.vertices}
-        for (u, v), lab in norm.items():
+        for (u, v), lab in edges.items():
             adj[u].append((v, lab))
             adj[v].append((u, lab))
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
@@ -312,7 +331,7 @@ def realize(pattern: GraphPattern, theta: Substitution) -> Optional[GraphWithInt
         anchored = {bound.interface[j]: vmap[h.ports[j]] for j in range(h.rank)}
         if _add_copy(vlabel, edges, bound.graph, anchored) is None:
             return None
-    return GraphWithInterface(LabeledGraph(vlabel, edges),
+    return GraphWithInterface(LabeledGraph._trusted(vlabel, edges),
                               tuple(vmap[v] for v in pattern.interface))
 
 
@@ -327,13 +346,25 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
     labels, and mapping the i-th interface vertex of ``a`` to the i-th of
     ``b``.  Patterns are compared by ``canonical_key``.
 
-    The interface is mapped first, then the other vertices of ``a`` in
-    breadth-first order from it; a new root (the least unplaced vertex) is
-    taken only once that queue is empty.  A vertex reached from an earlier
-    vertex ``u`` by an edge labelled ``lab`` may map only to a neighbour of
-    ``u``'s image joined by ``lab``, so it has at most Δ candidates, and only
-    a root scans all of ``b``.  A miss between two fragments that differ only
-    in where the interface sits then fails within O(n·Δ) checks.  The cached
+    The interface is mapped first.  The forced extension then places every
+    neighbour ``x`` of a placed vertex ``u`` whose image is forced: an
+    isomorphism that extends the mapping sends ``x`` to an unused neighbour
+    of ``u``'s image joined by the same edge label, with ``x``'s label and
+    degree.  With no such neighbour no isomorphism extends the mapping, and
+    since the mapping holds only forced images there is none: the answer is
+    False.  With exactly one, every isomorphism uses it, so ``x`` is placed
+    there without a choice.  With several, ``x`` waits.  Once every vertex
+    is placed the answer is True, and no search runs.
+
+    Only the vertices still unplaced are searched, depth-first, in
+    breadth-first order from the placed ones; a new root (the least
+    unplaced vertex) is taken only once that queue is empty.  A vertex
+    reached from an earlier vertex ``u`` by an edge labelled ``lab`` may map
+    only to a neighbour of ``u``'s image joined by ``lab``, so it has at
+    most Δ candidates, and only a root scans all of ``b``.  A miss between
+    two fragments that differ only in where the interface sits then fails
+    within O(n·Δ) checks.  Every placement, forced or searched, is checked
+    against the edges to the vertices placed before it.  The cached
     signatures are compared up front; equal ones give equal sizes and ranks,
     equal labels and degrees at each interface position, and equal sorted
     ``(label, degree)`` pairs.  The last matters because roots match any
@@ -349,11 +380,31 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
         if not _edges_consistent(ga, gb, v, mapping, used):
             return False
 
+    placed = list(a.interface)
+    for u in placed:  # the loop reaches what it appends
+        for x, lab in ga.neighbors(u):
+            if x in mapping:
+                continue
+            xlab, xdeg = ga.vlabel[x], ga.degree(x)
+            images = [y for y, ylab in gb.neighbors(mapping[u])
+                      if ylab == lab and y not in used
+                      and gb.vlabel[y] == xlab and gb.degree(y) == xdeg]
+            if not images:
+                return False
+            if len(images) == 1:
+                mapping[x] = images[0]
+                used.add(images[0])
+                if not _edges_consistent(ga, gb, x, mapping, used):
+                    return False
+                placed.append(x)
+    if len(placed) == ga.n:
+        return True
+
     # Breadth-first queue of (vertex, earlier neighbour, edge label), the
-    # neighbour None for the interface and for roots; ``order`` is what
-    # follows the interface.
-    queue = [(v, None, None) for v in a.interface]
-    seen = set(a.interface)
+    # neighbour None for placed vertices and for roots; ``order`` is what
+    # follows the placed vertices.
+    queue = [(v, None, None) for v in placed]
+    seen = set(placed)
     roots = iter(ga.vertices)
     head = 0
     while len(queue) < ga.n:
@@ -367,7 +418,7 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
             if x not in seen:
                 seen.add(x)
                 queue.append((x, u, lab))
-    order = queue[a.rank:]
+    order = queue[len(placed):]
 
     def candidates(k):
         if k == len(order):

@@ -44,7 +44,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .boundary import boundary_specs
-from .clauses import (Atom, Clause, ClauseSystem, ParamTuple,
+from .clauses import (Atom, Clause, ClauseSystem, ParamTuple, clause_key,
                       predicate_for_fragment)
 from .graphs import (
     EMPTY_INTERFACE_GRAPH,
@@ -152,17 +152,18 @@ class ClauseCandidate:
     hyperedge of the pattern, in hyperedge order.  The candidate builds its
     ``Clause`` when it is made and keeps it, so every hypothesis that admits
     the candidate holds that one clause object, and ``key`` is the clause's
-    cached ``shape_key``."""
+    cached ``shape_key``; a caller that has computed the key passes it in."""
 
     __slots__ = ("head", "pattern", "body", "clause")
 
-    def __init__(self, head: RepClass, pattern: GraphPattern, body: tuple):
+    def __init__(self, head: RepClass, pattern: GraphPattern, body: tuple, key=None):
         self.head = head
         self.pattern = pattern
         self.body = body
         self.clause = Clause(
             Atom(head.predicate, pattern),
-            [Atom(cls.predicate, _shared_star(var, labels)) for var, labels, cls in body])
+            [Atom(cls.predicate, _shared_star(var, labels)) for var, labels, cls in body],
+            shape_key=key)
 
     @property
     def is_fact(self) -> bool:
@@ -278,7 +279,8 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
                          vlabels: tuple, elabels: tuple):
     """All clause candidates over the basis, deduplicated by whole-clause
     shape key, in deterministic order, and the shape constant: the most head
-    shapes for one (interface rank, body length)."""
+    shapes for one (interface rank, body length).  The key is computed
+    first, and a candidate is built only for a key not seen before."""
     by_rank: dict = {}
     for cls in basis:
         by_rank.setdefault(cls.rank, []).append(cls)
@@ -291,12 +293,14 @@ def enumerate_candidates(basis: Sequence[RepClass], params: ParamTuple,
         bodies = [(pattern, _bodies(pattern, by_rank)) for pattern in shapes
                   if len(pattern.hyperedges) <= params.t]
         for head_cls in by_rank[head_rank]:
+            head = head_cls.predicate.name
             for pattern, pattern_bodies in bodies:
                 for body in pattern_bodies:
-                    cand = ClauseCandidate(head_cls, pattern, body)
-                    if cand.key not in seen:
-                        seen.add(cand.key)
-                        candidates.append(cand)
+                    key = clause_key(head, pattern, [(var, labels, cls.predicate.name)
+                                                     for var, labels, cls in body])
+                    if key not in seen:
+                        seen.add(key)
+                        candidates.append(ClauseCandidate(head_cls, pattern, body, key))
     candidates.sort(key=lambda c: c.key)
     return candidates, max(shape_counts.values(), default=0)
 

@@ -49,9 +49,10 @@ class FragmentUniverse:
     each vertex's distances to the interface, and resolves within a bucket
     by exact isomorphism (``iso_check``).  Fragments that differ only in
     where the interface sits fall into different buckets, so nearly every
-    exact test finds its match.  ``sub_w`` resolves most specifications
-    without a lookup, by the classes of their parts, and ``append``s a
-    fragment it knows to be new.
+    exact test finds its match.  ``sub_w`` looks up only specifications of
+    exactly one part and no beta-beta edge; it resolves the rest, the
+    edgeless one included, by their labels and the classes of their parts,
+    and ``append``s a fragment it knows to be new.
     """
 
     def __init__(self):
@@ -125,11 +126,13 @@ def sub_w(g: LabeledGraph, w: int, heads: Optional[set] = None) -> FragmentUnive
     by interface position and label, and the multisets of their parts'
     classes agree.  Hence:
 
-    - a spec of at most one part and no beta-beta edge is built and
+    - a spec of exactly one part and no beta-beta edge is built and
       deduplicated by ``FragmentUniverse.add``;
     - any other spec is keyed by its labels, beta-beta edges and the
       classes of its one-part sub-specs, which have smaller masks and so
-      are already resolved; it is built only when its key is new;
+      are already resolved; it is built only when its key is new.  The
+      edgeless spec (mask 0) is keyed by its interface labels alone,
+      ``(labels, (), ())``, so it is built once per label tuple;
     - an ordering of beta other than the sorted one, which comes first,
       takes its class from the sorted ordering's class and the
       permutation, since reordering the interface commutes with
@@ -169,7 +172,7 @@ def sub_w(g: LabeledGraph, w: int, heads: Optional[set] = None) -> FragmentUnive
                 if parts is None:
                     parts = _part_masks(g, set(beta), incident)
                 subs = [mask & p for p in parts if mask & p]
-            if not mask & inner and len(subs) <= 1:
+            if mask and not mask & inner and len(subs) <= 1:
                 idx = universe.add(build_fragment(g, beta, chosen(incident, mask)))
             else:
                 key = (tuple(g.vlabel[v] for v in beta),

@@ -1,8 +1,10 @@
+import os
 import random
 from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 import clausegraph.learner as learner_mod
 from clausegraph.clauses import Atom, Clause, ClauseSystem, ParamTuple, PredicateSymbol
@@ -17,6 +19,11 @@ from clausegraph.graphs import (
     star_pattern,
 )
 from clausegraph.teacher import Teacher
+
+# The property tests draw fresh examples on every run; under the ``ci``
+# profile a failure prints the ``@reproduce_failure`` blob that replays it.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @contextmanager

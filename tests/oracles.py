@@ -69,6 +69,16 @@ def brute_iso(a, b) -> bool:
     return False
 
 
+def assert_adjacency_as_validated(graph: LabeledGraph) -> None:
+    """The vertices and sorted adjacency of ``graph``, which carving and
+    gluing build without the constructor's checks, equal those the public
+    constructor builds from its labels and edges."""
+    want = LabeledGraph(graph.vlabel, graph.edges)
+    assert graph.vertices == want.vertices
+    for v in want.vertices:
+        assert graph.neighbors(v) == want.neighbors(v), v
+
+
 def naive_compose(g: GraphWithInterface, h: GraphWithInterface):
     """Vertex-identification reference for composition: build the disjoint
     union with tagged ids, then collapse interface pairs and scan for

@@ -12,7 +12,7 @@ from clausegraph.boundary import (
 from clausegraph.graphs import graph_from_parts
 
 from .conftest import random_connected_graph, random_graph
-from .oracles import naive_boundary_specs, naive_fragment
+from .oracles import assert_adjacency_as_validated, naive_boundary_specs, naive_fragment
 
 
 def single_edge():
@@ -103,6 +103,7 @@ def test_fragment_matches_reachability_oracle(rng):
         assert got.graph.vlabel == want.graph.vlabel
         assert got.graph.edges == want.graph.edges
         assert got.interface == want.interface
+        assert_adjacency_as_validated(got.graph)
 
 
 def test_fragment_determinism(rng):

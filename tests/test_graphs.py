@@ -28,7 +28,7 @@ from clausegraph.grammars import twin_grammar
 from clausegraph.learner import head_shapes
 
 from .conftest import random_graph, random_interface_graph
-from .oracles import brute_iso, naive_compose
+from .oracles import assert_adjacency_as_validated, brute_iso, naive_compose
 
 
 def path_graph(n, vlabel="a", elabel="e"):
@@ -160,6 +160,7 @@ def test_compose_size_formula_and_oracle_agreement(rng):
         if got is not None:
             assert got.n == n1 + n2 - rank
             assert iso_check(closed(got), closed(want))
+            assert_adjacency_as_validated(got)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,7 @@ def test_realize_single_hyperedge_path():
         graph_from_parts([(1, "a"), (2, "a")], [(1, 2, "e")]), (1, 2))
     out = realize(p, {"y": edge})
     assert out is not None
+    assert_adjacency_as_validated(out.graph)
     expected = GraphWithInterface(path_graph(3), (0, 2))
     assert iso_check(out, expected)
 
@@ -199,6 +201,7 @@ def test_realize_repeated_labels_get_isomorphic_copies():
         graph_from_parts([(0, "a"), (1, "b")], [(0, 1, "e")]), (0,))
     out = realize(p, {"x": pendant})
     assert out is not None
+    assert_adjacency_as_validated(out.graph)
     assert out.graph.n == 4 and out.graph.m == 2
     assert sorted(out.graph.vlabel.values()) == ["a", "a", "b", "b"]
 
@@ -239,6 +242,7 @@ def test_realize_star_is_binding_itself():
     bound = GraphWithInterface(path_graph(4), (0, 3))
     out = realize(p, {"x": bound})
     assert out is not None and iso_check(out, bound)
+    assert_adjacency_as_validated(out.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +377,52 @@ def _renumbered(g: GraphWithInterface, rng) -> GraphWithInterface:
         tuple(pi[v] for v in g.interface))
 
 
+def _arms_mates(rng, change):
+    """A rank-1 graph whose interface vertex carries pendant paths of ``a``
+    vertices (two of length 2-3 or three of length 1-2), and a renumbered
+    partner that may have one arm's tip relabelled ``b`` or moved onto
+    another arm's tip with its edge label.  Every arm starts with an ``e``
+    edge, so arms longer than one leave the image of their first vertex
+    unforced and ``iso_check`` must search from the fork.  A move from an
+    arm onto the tip of an arm one shorter keeps the signature; such a move
+    that gives a graph not isomorphic to the first is preferred, so the
+    search also meets misses."""
+    vlabel, edges, tips = {0: "a"}, {}, []  # tips: (tip, its neighbour)
+    arms = rng.randint(2, 3)
+    for _ in range(arms):
+        tip, parent = 0, None
+        for _ in range(rng.randint(4 - arms, 5 - arms)):
+            tip, parent = len(vlabel), tip
+            vlabel[tip] = "a"
+            edges[parent, tip] = rng.choice("ef") if parent else "e"
+        tips.append((tip, parent))
+    g = GraphWithInterface(LabeledGraph(vlabel, edges), (0,))
+    if change == "tip relabelled":
+        vlabel = {**vlabel, rng.choice(tips)[0]: "b"}
+    if change == "tip moved":
+        moved = []
+        for tip, parent in tips:
+            lab = edges[parent, tip]  # arms number their vertices outwards
+            rest = {e: elab for e, elab in edges.items() if tip not in e}
+            moved += [{**rest, (min(tip, onto), max(tip, onto)): lab}
+                      for onto, _ in tips if onto != tip]
+        moved = [GraphWithInterface(LabeledGraph(vlabel, m), (0,)) for m in moved]
+        mates = [m for m in moved if invariant_signature(m) == invariant_signature(g)]
+        misses = [m for m in mates if not brute_iso(g, m)]
+        edges = rng.choice(misses or mates or moved).graph.edges
+    return g, _renumbered(GraphWithInterface(LabeledGraph(vlabel, edges), (0,)), rng), change
+
+
 @st.composite
 def bucket_mates(draw):
     """A graph of up to 7 vertices (rank 0-3, possibly disconnected) and a
     renumbered partner that may have one interface vertex moved to a vertex
-    of equal label and degree, or one edge moved."""
+    of equal label and degree, or one edge moved; or, in the "arms" shape,
+    the pair of ``_arms_mates``."""
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    if draw(st.sampled_from(["random", "arms"])) == "arms":
+        return _arms_mates(rng, draw(st.sampled_from(["renumbered", "tip relabelled",
+                                                      "tip moved"])))
     n = draw(st.integers(min_value=0, max_value=7))
     g = random_interface_graph(rng, n, max_rank=3, vlabels=rng.choice([("a",), ("a", "b")]),
                                edge_prob=rng.random())
@@ -408,7 +452,8 @@ def bucket_mates(draw):
     return g, GraphWithInterface(graph, iface), change
 
 
-@settings(max_examples=300, deadline=None)
+# half the pairs are arms pairs, so the random shape still gets about 300
+@settings(max_examples=600, deadline=None)
 @given(bucket_mates())
 def test_iso_check_matches_brute_iso_on_bucket_mates(pair):
     g, h, change = pair

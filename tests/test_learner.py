@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from clausegraph.clauses import Atom, Clause, ParamTuple
+from clausegraph.clauses import Atom, Clause, ParamTuple, clause_key
 from clausegraph.formats import pattern_to_obj
 from clausegraph.grammars import path_grammar, triangle_grammar, twin_grammar
 from clausegraph.graphs import (
@@ -181,6 +181,9 @@ def test_enumeration_is_deterministic_and_deduped():
     keys = [c.key for c in c1]
     assert keys == [c.key for c in c2]
     assert len(keys) == len(set(keys))
+    # the key handed to each clause is the one its own stars give
+    assert keys == [clause_key(c.head.predicate.name, c.pattern, c.clause.stars)
+                    for c in c1]
 
 
 def test_candidate_count_bound():

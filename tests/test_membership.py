@@ -182,8 +182,8 @@ def test_sub_w_matches_one_build_per_spec_on_random_graphs():
 
 
 @pytest.mark.parametrize("n,w,specs,builds,iso_checks", [
-    (10, 2, 1069, 460, 235),
-    (36, 1, 141, 124, 70),
+    (10, 2, 1069, 406, 181),
+    (36, 1, 141, 89, 35),
 ])
 def test_sub_w_work_is_pinned(monkeypatch, n, w, specs, builds, iso_checks):
     # most specs are classed by their parts or by the sorted ordering of
