@@ -1,11 +1,11 @@
 """JSON file formats for graphs, grammars, and run parameters.
 
 Graphs: ``{"vertices": [{"id", "label"}], "edges": [{"u", "v", "label"}],
-"interface": [ids]}``; a graph file holds one such object or a list of them.
-Patterns extend graphs with ``"hyperedges": [{"variable", "rank", "ports"}]``.
-Grammars name their predicates, clauses, and start symbol.  Loading validates
-shapes eagerly and raises ``ValueError`` naming the offending field; dumping
-is byte-stable for equal inputs.
+"interface": [ids]}``; a graph file holds one such object or a non-empty list
+of them.  Patterns extend graphs with ``"hyperedges": [{"variable", "rank",
+"ports"}]``.  Grammars name their predicates, clauses, and start symbol.
+Loading validates shapes eagerly and raises ``ValueError`` naming the
+offending field; dumping is byte-stable for equal inputs.
 """
 
 from __future__ import annotations
@@ -103,11 +103,12 @@ def graph_from_obj(obj, field: str = "graph") -> GraphWithInterface:
 
 
 def load_graphs(path: PathLike) -> list:
-    """One graph object or a list of them; returns a list either way."""
+    """One graph object or a non-empty list of them, returned as a list."""
     data = read_json(path)
     if isinstance(data, dict):
         return [graph_from_obj(data)]
-    _expect(isinstance(data, list), "file", "expected a graph object or a list of them")
+    _expect(isinstance(data, list), str(path), "expected a graph object or a list of them")
+    _expect(bool(data), str(path), "expected at least one graph, got an empty list")
     return [graph_from_obj(obj, field=f"[{i}]") for i, obj in enumerate(data)]
 
 

@@ -365,8 +365,8 @@ def iso_check(a: GraphWithInterface, b: GraphWithInterface) -> bool:
     two fragments that differ only in where the interface sits then fails
     within O(n·Δ) checks.  Every placement, forced or searched, is checked
     against the edges to the vertices placed before it.  The cached
-    signatures are compared up front; equal ones give equal sizes and ranks,
-    equal labels and degrees at each interface position, and equal sorted
+    signatures are the only pre-test: they must agree on the edge labels,
+    on the label and degree at each interface position, and on the sorted
     ``(label, degree)`` pairs.  The last matters because roots match any
     vertex of equal label and degree, so without it a graph of isolated
     vertices that differs in one label backtracks factorially.
@@ -591,35 +591,21 @@ def invariant_signature(g: GraphWithInterface) -> tuple:
     Read through ``GraphWithInterface.signature``, it is the bucket key of
     ``membership.FragmentUniverse`` and the pre-test of ``iso_check``.
 
-    Two fields: the sorted edge labels, and one sorted entry per vertex: its
-    label, its degree and its breadth-first distance to each interface
-    vertex in interface order, -1 where unreachable.  The entries fix n
-    (their number), m (half their degree sum) and the rank (the length of
-    each distance tuple), and interface vertex i is the one entry with
-    distance 0 at position i, so they also fix the interface's labels and
-    degrees.  Distances from individualised vertices are the textbook cheap
-    vertex invariant (McKay & Piperno, *Practical graph isomorphism II*,
-    2014).  They separate fragments that differ only in where the interface
-    sits along a path, which labels, degrees and neighbour labels do not.
-    Cost O(w·(n+m)).
+    Three fields: the sorted edge labels, the ``(label, degree)`` of each
+    interface vertex in interface order, and the sorted ``(label, degree)``
+    of every vertex.  They fix n, m, the rank and the interface's labels and
+    degrees.  Label and degree counts are the textbook cheap vertex
+    invariant (McKay & Piperno, *Practical graph isomorphism II*, 2014).
+    Fragments that differ only in where the interface sits share a
+    signature; ``iso_check``'s forced extension tells them apart.  Cost
+    O(n + m).
     """
     graph = g.graph
     adj, vlabel = graph._adj, graph.vlabel
-    dists = []
-    for s in g.interface:
-        dist = {s: 0}
-        queue = [s]
-        for u in queue:  # breadth-first: the loop reaches what it appends
-            du = dist[u] + 1
-            for x, _ in adj[u]:
-                if x not in dist:
-                    dist[x] = du
-                    queue.append(x)
-        dists.append(dist)
     return (
         tuple(sorted(graph.edges.values())),
-        tuple(sorted([(vlabel[v], len(adj[v]), tuple([d.get(v, -1) for d in dists]))
-                      for v in graph.vertices])),
+        tuple([(vlabel[v], len(adj[v])) for v in g.interface]),
+        tuple(sorted([(vlabel[v], len(adj[v])) for v in graph.vertices])),
     )
 
 

@@ -45,14 +45,14 @@ class FragmentUniverse:
     """Fragments deduplicated up to isomorphism: those of one host graph for
     membership, or the graphs derived so far for generation.
 
-    Lookup buckets on each fragment's cached ``signature``, which records
-    each vertex's distances to the interface, and resolves within a bucket
-    by exact isomorphism (``iso_check``).  Fragments that differ only in
-    where the interface sits fall into different buckets, so nearly every
-    exact test finds its match.  ``sub_w`` looks up only specifications of
-    exactly one part and no beta-beta edge; it resolves the rest, the
-    edgeless one included, by their labels and the classes of their parts,
-    and ``append``s a fragment it knows to be new.
+    Lookup buckets on each fragment's cached ``signature`` (edge labels,
+    and vertex labels and degrees) and resolves within a bucket by exact
+    isomorphism (``iso_check``).  Fragments that differ only in where the
+    interface sits share a bucket, and ``iso_check``'s forced extension
+    rejects such a mate within O(n·Δ) edge checks.  ``sub_w`` looks up only
+    specifications of exactly one part and no beta-beta edge; it resolves
+    the rest, the edgeless one included, by their labels and the classes of
+    their parts, and ``append``s a fragment it knows to be new.
     """
 
     def __init__(self):

@@ -115,6 +115,27 @@ def test_graph_with_interface_is_domain_error(capsys, tmp_path, path_files, comm
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[]", "expected at least one graph, got an empty list"),
+    ("7", "expected a graph object or a list of them"),
+], ids=["empty-list", "number"])
+@pytest.mark.parametrize("command", ["member", "oracle", "brep"])
+def test_graph_file_without_a_graph_is_domain_error(capsys, tmp_path, path_files,
+                                                     content, message, command):
+    # an empty list must not pass as a silent non-answer: no output, exit 0
+    gpath = tmp_path / "none.json"
+    gpath.write_text(content)
+    argv = (["brep", "--sample", str(gpath), "--w", "1", "--delta", "2"]
+            if command == "brep" else
+            [command, "--grammar", path_files["grammar"], "--graph", str(gpath),
+             "--params", path_files["params"]])
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {gpath}: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["brep", "--w", "1", "--delta", "2"], "required: --sample"),
     (["check", "--grammar", "g.json"], "required: --params"),

@@ -383,9 +383,9 @@ def _arms_mates(rng, change):
     partner that may have one arm's tip relabelled ``b`` or moved onto
     another arm's tip with its edge label.  Every arm starts with an ``e``
     edge, so arms longer than one leave the image of their first vertex
-    unforced and ``iso_check`` must search from the fork.  A move from an
-    arm onto the tip of an arm one shorter keeps the signature; such a move
-    that gives a graph not isomorphic to the first is preferred, so the
+    unforced and ``iso_check`` must search from the fork.  A move of a tip
+    that does not hang on the interface vertex keeps the signature; such a
+    move that gives a graph not isomorphic to the first is preferred, so the
     search also meets misses."""
     vlabel, edges, tips = {0: "a"}, {}, []  # tips: (tip, its neighbour)
     arms = rng.randint(2, 3)

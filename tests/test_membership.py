@@ -110,8 +110,9 @@ def test_sub_w_keeps_the_first_fragment_of_each_brute_iso_class():
 
 
 def test_sub_w_on_paths_makes_no_failing_iso_check(monkeypatch):
-    # fragments of a path that differ only in where the interface sits fall
-    # into different signature buckets, so every exact test finds a match
+    # a looked-up fragment of an all-a path is fixed up to isomorphism by its
+    # size and the degrees of its interface vertices, which its signature
+    # records, so every exact test finds a match
     verdicts = []
     original = membership_mod.iso_check
 
@@ -124,6 +125,40 @@ def test_sub_w_on_paths_makes_no_failing_iso_check(monkeypatch):
         verdicts.clear()
         sub_w(path_graph(n), w)
         assert verdicts and all(verdicts), (n, w, verdicts.count(False))
+
+
+@pytest.mark.parametrize("builder, sizes", [
+    (path_grammar, range(4, 11)),
+    (twin_grammar, range(8, 37, 4)),
+], ids=["path", "twin"])
+def test_dedup_misses_cost_at_most_n_edge_checks(monkeypatch, builder, sizes):
+    # fragments that differ only in where the interface sits share a
+    # signature bucket; iso_check, growing its mapping from the interface,
+    # rejects each such mate within n edge checks for a fragment of n vertices
+    edge_checks = [0]
+    misses = []
+    edges_consistent = graphs_mod._edges_consistent
+    original = membership_mod.iso_check
+
+    def counting_edges(*args):
+        edge_checks[0] += 1
+        return edges_consistent(*args)
+
+    def recording(a, b):
+        edge_checks[0] = 0
+        same = original(a, b)
+        if not same:
+            misses.append((a.graph.n, edge_checks[0]))
+        return same
+
+    monkeypatch.setattr(graphs_mod, "_edges_consistent", counting_edges)
+    monkeypatch.setattr(membership_mod, "iso_check", recording)
+    gamma, params = builder()
+    for n in sizes:
+        for g in (cycle_graph(n), _marked_path(n, n // 2), _two_paths(n)):
+            assert not member(gamma, gamma.start, g, params), (n, g.edges)
+    assert misses
+    assert all(checks <= n for n, checks in misses), max(misses, key=lambda m: m[1] - m[0])
 
 
 def _assert_sub_w_matches_one_build_per_spec(g, w):
